@@ -27,9 +27,7 @@ from .limiting import (
 )
 from .oracle import DenseWalk, build_cayley, class_aggregate, evolve_classical, evolve_quantum
 from .partitions import (
-    ClassInfo,
     Partition,
-    class_info,
     class_size,
     cycle_type,
     enumerate_partitions,

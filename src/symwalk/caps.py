@@ -16,6 +16,11 @@ PARTITION_CAP = 30
 CHARACTER_TABLE_CAP = 14
 ORACLE_CAP = 6
 
+# Most time points one invocation evaluates (``--t-grid`` steps and
+# ``--average`` samples).  It bounds run time and output size, not n, so
+# SYMWALK_MAX_N does not override it.
+TIME_POINTS_CAP = 10_000
+
 
 def effective_cap(default: int, override: int | None = None) -> int:
     if override is not None:

@@ -18,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial
 
 from .caps import CHARACTER_TABLE_CAP, check_cap
@@ -128,8 +128,12 @@ class CharacterTable:
     reps: tuple[Partition, ...]
     entries: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _positions(self) -> dict[Partition, int]:
+        return {lam: i for i, lam in enumerate(self.classes)}
+
     def index(self, lam: Partition) -> int:
-        return self.classes.index(lam)
+        return self._positions[lam]
 
     def value(self, nu: Partition, lam: Partition) -> int:
         return self.entries[self.index(nu)][self.index(lam)]

@@ -15,13 +15,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import oracle as oracle_mod
+from .caps import TIME_POINTS_CAP
 from .characters import character_table
-from .errors import SymwalkError
+from .errors import ResourceLimitError, SymwalkError
 from .limiting import (
     eigenvalue_groups,
     limiting_class_distribution,
@@ -44,28 +44,6 @@ class UsageError(SymwalkError):
     exit_code = 1
 
 
-@dataclass
-class RunConfig:
-    """One fully parsed invocation; identical configs give identical bytes."""
-
-    subcommand: str
-    n: int = 0
-    generators: tuple[tuple[Partition, Fraction], ...] = ()
-    start: Partition | None = None
-    target: Partition | None = None
-    t: float | None = None
-    t_grid: tuple[float, float, int] | None = None
-    fmt: str = "json"
-    output: str | None = None
-    classical: bool = False
-    oracle_cap: int | None = None
-    t_samples: int = 16
-    detailed: bool = False
-    dump_adjacency: bool = False
-    horizon: float | None = None
-    samples: int | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -85,8 +63,28 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational weight {text!r}") from None
 
 
+def _parse_time(text: str) -> float:
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise UsageError(f"time must be a finite number, got {text!r}")
+    return t
+
+
+def _check_time_points(count: int, what: str) -> None:
+    if count > TIME_POINTS_CAP:
+        raise ResourceLimitError(
+            f"{what} of {count} exceeds the cap of {TIME_POINTS_CAP} time points"
+        )
+
+
 def exact_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # Python's limit on int-to-str digits
+        raise ResourceLimitError("exact value has too many digits to print") from None
 
 
 def decimal_str(value: Fraction, digits: int = 20) -> str:
@@ -122,12 +120,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("amplitude", help="class-to-class amplitude at time t")
     add_common(p, generator=True, start=True, fmt=False)
     p.add_argument("--target", required=True, help="target class")
-    p.add_argument("--t", type=float, required=True, help="time in radians")
+    p.add_argument("--t", type=_parse_time, required=True, help="time in radians")
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("distribution", help="class distribution at time t or over a grid")
     add_common(p, generator=True, start=True)
-    p.add_argument("--t", type=float, default=None, help="single time in radians")
+    p.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
     p.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
                    help="sweep; emits CSV rows t,class,probability; a bare "
                         "STEPS count sweeps the full period [0, 2*pi]")
@@ -155,7 +153,8 @@ def build_parser() -> _Parser:
     p.add_argument("--generator", action="append", default=[], help="generator class")
     p.add_argument("--dump-adjacency", action="store_true",
                    help="emit the edge list as CSV perm_g,perm_h")
-    p.add_argument("--t", type=float, default=None, help="evolve and report per-class sums")
+    p.add_argument("--t", type=_parse_time, default=None,
+                   help="evolve and report per-class sums")
     p.add_argument("--classical", action="store_true")
     p.add_argument("--start", default=None)
     p.add_argument("--oracle-cap", type=int, default=None)
@@ -164,19 +163,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, n=args.n)
-    cfg.output = getattr(args, "output", None)
-    cfg.fmt = getattr(args, "format", "json")
-    cfg.classical = getattr(args, "classical", False)
-    cfg.oracle_cap = getattr(args, "oracle_cap", None)
-    cfg.t_samples = getattr(args, "t_samples", 16)
-    cfg.detailed = getattr(args, "detailed", False)
-    cfg.dump_adjacency = getattr(args, "dump_adjacency", False)
-    cfg.t = getattr(args, "t", None)
-
-    if cfg.n < 0:
+def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments and turn the raw strings into values."""
+    n = args.n
+    if n < 0:
         raise UsageError("--n must be nonnegative")
+    if getattr(args, "t_samples", 1) < 1:
+        raise UsageError("--t-samples must be at least 1")
 
     raw_gens = getattr(args, "generator", [])
     raw_weights = getattr(args, "weight", [])
@@ -184,50 +177,50 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--weight must be given once per --generator")
     gens = []
     for i, text in enumerate(raw_gens):
-        lam = _parse_partition(text, cfg.n, "generator")
+        lam = _parse_partition(text, n, "generator")
         w = _parse_fraction(raw_weights[i]) if raw_weights else Fraction(1)
         if w < 0:
             raise UsageError("generator weights must be nonnegative")
         gens.append((lam, w))
-    cfg.generators = tuple(gens)
+    args.generators = tuple(gens)
 
-    start = getattr(args, "start", None)
-    if start is not None:
-        cfg.start = _parse_partition(start, cfg.n, "start class")
-    elif hasattr(args, "start"):
-        cfg.start = identity_partition(cfg.n)
-
+    if hasattr(args, "start"):
+        args.start = (identity_partition(n) if args.start is None
+                      else _parse_partition(args.start, n, "start class"))
     if getattr(args, "target", None) is not None:
-        cfg.target = _parse_partition(args.target, cfg.n, "target class")
+        args.target = _parse_partition(args.target, n, "target class")
 
-    grid = getattr(args, "t_grid", None)
-    if grid is not None:
+    if getattr(args, "t_grid", None) is not None:
         try:
-            tokens = grid.split(",")
+            tokens = args.t_grid.split(",")
             if len(tokens) == 1:
                 # One period covers the whole walk: e^{itH} is 2*pi-periodic
                 # for integer spectra, so [0, 2*pi] is the default sweep.
-                cfg.t_grid = (0.0, 2 * math.pi, int(tokens[0]))
+                lo, hi, steps = 0.0, 2 * math.pi, int(tokens[0])
             else:
                 lo, hi, steps = tokens
-                cfg.t_grid = (float(lo), float(hi), int(steps))
+                lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
             raise UsageError("--t-grid must be MIN,MAX,STEPS or STEPS") from None
-        if cfg.t_grid[2] < 1:
+        if not math.isfinite(hi - lo):  # also rules out non-finite ends
+            raise UsageError("--t-grid ends and span must be finite")
+        if steps < 1:
             raise UsageError("--t-grid needs at least one step")
+        _check_time_points(steps, "--t-grid")
+        args.t_grid = (lo, hi, steps)
 
-    avg = getattr(args, "average", None)
-    if avg is not None:
+    if getattr(args, "average", None) is not None:
         try:
-            horizon, samples = avg.split(",")
-            cfg.horizon, cfg.samples = float(horizon), int(samples)
+            horizon, samples = args.average.split(",")
+            horizon, samples = _parse_time(horizon), int(samples)
         except ValueError:
             raise UsageError("--average must be T,SAMPLES") from None
+        _check_time_points(samples, "--average")
+        args.average = (horizon, samples)
+    return args
 
-    return cfg
 
-
-def _class_function(cfg: RunConfig) -> ClassFunction:
+def _class_function(cfg: argparse.Namespace) -> ClassFunction:
     if not cfg.generators:
         raise UsageError("at least one --generator is required")
     if len(cfg.generators) == 1 and cfg.generators[0][1] == 1:
@@ -238,7 +231,7 @@ def _class_function(cfg: RunConfig) -> ClassFunction:
     return ClassFunction(cfg.n, weights)
 
 
-def _generator_json(cfg: RunConfig):
+def _generator_json(cfg: argparse.Namespace):
     if len(cfg.generators) == 1 and cfg.generators[0][1] == 1:
         return list(cfg.generators[0][0].parts)
     return [
@@ -247,10 +240,13 @@ def _generator_json(cfg: RunConfig):
     ]
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -259,15 +255,15 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_characters(cfg: RunConfig) -> int:
+def _cmd_characters(cfg: argparse.Namespace) -> int:
     table = character_table(cfg.n)
-    _emit(cfg, table.to_csv() if cfg.fmt == "csv" else _json(table.to_json_dict()))
+    _emit(cfg, table.to_csv() if cfg.format == "csv" else _json(table.to_json_dict()))
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _cmd_spectrum(cfg: argparse.Namespace) -> int:
     spec = spectrum(cfg.n, _class_function(cfg))
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         lines = ["rep,dim,eigenvalue"]
         for rec in spec.records:
             lines.append(f"\"{rec.rep}\",{rec.dim},{exact_str(rec.eigenvalue)}")
@@ -290,7 +286,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_amplitude(cfg: RunConfig) -> int:
+def _cmd_amplitude(cfg: argparse.Namespace) -> int:
     spec = spectrum(cfg.n, _class_function(cfg))
     amp = class_amplitude(spec, cfg.target, cfg.start, cfg.t)
     payload = {
@@ -306,7 +302,7 @@ def _cmd_amplitude(cfg: RunConfig) -> int:
     return 0
 
 
-def _distribution_json(cfg: RunConfig, dist) -> dict:
+def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
     return {
         "n": cfg.n,
         "generator": _generator_json(cfg),
@@ -324,17 +320,18 @@ def _distribution_json(cfg: RunConfig, dist) -> dict:
     }
 
 
-def _cmd_distribution(cfg: RunConfig) -> int:
+def _cmd_distribution(cfg: argparse.Namespace) -> int:
     spec = spectrum(cfg.n, _class_function(cfg))
     engine = classical_class_distribution if cfg.classical else class_distribution
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
         lines = ["t,class,probability"]
+        labels = [f"\"{lam}\"" for lam in spec.table.classes]
         for j in range(steps):
             t = lo + (hi - lo) * j / max(steps - 1, 1)
             dist = engine(spec, cfg.start, t)
-            for lam, p in dist.probs.items():
-                lines.append(f"{t!r},\"{lam}\",{p!r}")
+            for label, p in zip(labels, dist.probs.values()):
+                lines.append(f"{t!r},{label},{p!r}")
         _emit(cfg, "\n".join(lines) + "\n")
         return 0
     if cfg.t is None:
@@ -344,7 +341,7 @@ def _cmd_distribution(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_limit(cfg: RunConfig) -> int:
+def _cmd_limit(cfg: argparse.Namespace) -> int:
     spec = spectrum(cfg.n, _class_function(cfg))
     exact = limiting_class_distribution(spec, cfg.start)
     groups = eigenvalue_groups(spec)
@@ -379,11 +376,12 @@ def _cmd_limit(cfg: RunConfig) -> int:
         payload["tv"].append(
             {"support": "alternating_group", "distance": float(tv_an), "exact": exact_str(tv_an)}
         )
-    if cfg.horizon is not None:
-        avg = time_averaged_distribution(spec, cfg.start, cfg.horizon, cfg.samples)
+    if cfg.average is not None:
+        horizon, samples = cfg.average
+        avg = time_averaged_distribution(spec, cfg.start, horizon, samples)
         payload["time_average"] = {
-            "horizon": cfg.horizon,
-            "samples": cfg.samples,
+            "horizon": horizon,
+            "samples": samples,
             "max_abs_gap": max(
                 abs(avg.probs[lam] - float(exact.probs[lam])) for lam in exact.probs
             ),
@@ -392,7 +390,7 @@ def _cmd_limit(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_table(cfg: RunConfig) -> int:
+def _cmd_table(cfg: argparse.Namespace) -> int:
     if cfg.n < 2:
         raise UsageError("table needs n >= 2")
     lines = []
@@ -409,7 +407,7 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     results = run_suite(cfg.n, t_samples=cfg.t_samples, oracle_cap=cfg.oracle_cap,
                         detailed=cfg.detailed)
     checks = []
@@ -433,7 +431,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if failed == 0 else 2
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
+def _cmd_oracle(cfg: argparse.Namespace) -> int:
     if len(cfg.generators) != 1:
         raise UsageError("oracle needs exactly one --generator")
     gamma = cfg.generators[0][0]
@@ -446,7 +444,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         return 0
     if cfg.t is None:
         raise UsageError("oracle needs --dump-adjacency or --t")
-    start = cfg.start if cfg.start is not None else identity_partition(cfg.n)
+    start = cfg.start
     if cfg.classical:
         sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, start, cfg.t))
         deviation = None
@@ -488,9 +486,8 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
-    return _COMMANDS[cfg.subcommand](cfg)
+    args = _parse_args(parser.parse_args(argv))
+    return _COMMANDS[args.subcommand](args)
 
 
 def main(argv=None) -> int:

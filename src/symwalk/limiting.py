@@ -29,7 +29,6 @@ from .walk_spectrum import (
     ClassDistribution,
     ClassFunction,
     WalkSpectrum,
-    class_distribution,
 )
 
 
@@ -40,12 +39,6 @@ class EigenGroups:
     n: int
     f: ClassFunction
     groups: tuple[tuple[Partition, ...], ...]
-
-    def group_of(self, nu: Partition) -> tuple[Partition, ...]:
-        for g in self.groups:
-            if nu in g:
-                return g
-        raise DomainError(f"{nu} is not a partition of {self.n}")
 
 
 def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
@@ -71,19 +64,12 @@ class ExactDistribution:
 
 def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ExactDistribution:
     """Exact time average of the class distribution started from c_mu."""
-    if mu.n != spec.n:
-        raise DomainError(f"start class {mu} is not a partition of {spec.n}")
+    kernel = spec.kernel(mu)
     nfact = factorial(spec.n)
-    col_mu = spec.table.column(mu)
     cmu = spec.class_sizes[mu]
     probs = {}
     per_element = {}
-    for lam in spec.table.classes:
-        col_lam = spec.table.column(lam)
-        acc = 0
-        for _, members in spec.eigenvalue_classes:
-            s = sum(col_lam[i] * col_mu[i] for i in members)
-            acc += s * s
+    for lam, acc in zip(spec.table.classes, kernel.limiting_sums()):
         per = Fraction(cmu * acc, nfact * nfact)
         per_element[lam] = per
         probs[lam] = per * spec.class_sizes[lam]
@@ -183,12 +169,7 @@ def time_averaged_distribution(
         raise DomainError("averaging horizon must be positive")
     if samples < 1:
         raise DomainError("need at least one sample")
-    acc = {lam: 0.0 for lam in spec.table.classes}
-    for j in range(samples):
-        t = (j + 0.5) * horizon / samples
-        dist = class_distribution(spec, mu, t)
-        for lam, p in dist.probs.items():
-            acc[lam] += p
-    probs = {lam: v / samples for lam, v in acc.items()}
-    per_element = {lam: p / spec.class_sizes[lam] for lam, p in probs.items()}
-    return ClassDistribution(n=spec.n, t=horizon, probs=probs, per_element=per_element)
+    kernel = spec.kernel(mu)
+    acc = sum(kernel.quantum_probabilities((j + 0.5) * horizon / samples)
+              for j in range(samples))
+    return ClassDistribution.of(spec, horizon, acc / samples)

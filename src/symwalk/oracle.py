@@ -72,18 +72,11 @@ def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[h[x] - 1] for x in range(len(g)))
 
 
-def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(g)
-    for i, v in enumerate(g):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def build_cayley(n: int, gamma: Partition, cap: int | None = None) -> DenseWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
     Default cap is n <= 6 (720 vertices); n = 7 only via an explicit cap
-    override since its eigensystem needs on the order of 0.4 GB.
+    override since its eigensystem peaks near 1.0 GB of RSS.
     """
     check_cap(n, ORACLE_CAP, cap, "dense Cayley graph")
     if gamma.n != n:
@@ -103,38 +96,23 @@ def build_cayley(n: int, gamma: Partition, cap: int | None = None) -> DenseWalk:
     return walk
 
 
-def _as_amplitude_state(walk: DenseWalk, start: StartState) -> np.ndarray:
-    """Unit amplitude vector: class -> c_mu, permutation -> basis vector."""
+def _start_state(walk: DenseWalk, start: StartState, quantum: bool) -> np.ndarray:
+    """Start vector: class -> uniform on the class, permutation -> basis
+    vector; unit norm for amplitudes, unit mass for probabilities."""
     size = len(walk.vertices)
-    if isinstance(start, Partition):
-        members = [i for i, c in enumerate(walk.class_of_vertex()) if c == start]
-        vec = np.zeros(size, dtype=complex)
-        vec[members] = 1.0 / np.sqrt(len(members))
+    dtype = complex if quantum else float
+    if isinstance(start, (Partition, tuple, list)):
+        if isinstance(start, Partition):
+            members = [i for i, c in enumerate(walk.class_of_vertex()) if c == start]
+        else:
+            members = [walk.vertex_index(tuple(start))]
+        vec = np.zeros(size, dtype=dtype)
+        vec[members] = 1.0 / (np.sqrt(len(members)) if quantum else len(members))
         return vec
-    if isinstance(start, (tuple, list)):
-        vec = np.zeros(size, dtype=complex)
-        vec[walk.vertex_index(tuple(start))] = 1.0
-        return vec
-    vec = np.asarray(start, dtype=complex)
+    vec = np.asarray(start, dtype=dtype)
     if vec.shape != (size,):
         raise DomainError(f"state must have {size} entries")
-    return vec
-
-
-def _as_probability_state(walk: DenseWalk, start: StartState) -> np.ndarray:
-    """Probability vector: class -> uniform on class, permutation -> point mass."""
-    size = len(walk.vertices)
-    if isinstance(start, Partition):
-        members = [i for i, c in enumerate(walk.class_of_vertex()) if c == start]
-        vec = np.zeros(size)
-        vec[members] = 1.0 / len(members)
-        return vec
-    if isinstance(start, (tuple, list)):
-        vec = np.zeros(size)
-        vec[walk.vertex_index(tuple(start))] = 1.0
-        return vec
-    vec = np.asarray(start, dtype=float)
-    if vec.shape != (size,) or vec.min() < 0 or abs(vec.sum() - 1) > 1e-9:
+    if not quantum and (vec.min() < 0 or abs(vec.sum() - 1) > 1e-9):
         raise DomainError("start must be a probability vector")
     return vec
 
@@ -142,7 +120,7 @@ def _as_probability_state(walk: DenseWalk, start: StartState) -> np.ndarray:
 def evolve_quantum(walk: DenseWalk, start: StartState, t: float) -> np.ndarray:
     """e^{itA} applied to the start state, via the cached eigensystem."""
     evals, evecs = walk.eigensystem()
-    psi = _as_amplitude_state(walk, start)
+    psi = _start_state(walk, start, quantum=True)
     return evecs @ (np.exp(1j * t * evals) * (evecs.T @ psi))
 
 
@@ -151,7 +129,7 @@ def evolve_classical(walk: DenseWalk, start: StartState, t: float) -> np.ndarray
     if t < 0:
         raise DomainError("classical walk time must be nonnegative")
     evals, evecs = walk.eigensystem()
-    p0 = _as_probability_state(walk, start)
+    p0 = _start_state(walk, start, quantum=False)
     out = evecs @ (np.exp(-t * (walk.degree - evals)) * (evecs.T @ p0))
     return np.maximum(out.real, 0.0)
 
@@ -202,7 +180,7 @@ def limiting_distribution(walk: DenseWalk, start: StartState,
     is integral for single-class generators).
     """
     evals, evecs = walk.eigensystem()
-    psi = _as_amplitude_state(walk, start)
+    psi = _start_state(walk, start, quantum=True)
     weights = evecs.T @ psi
     order = np.argsort(evals)
     probs = np.zeros(len(walk.vertices))
@@ -220,19 +198,3 @@ def limiting_distribution(walk: DenseWalk, start: StartState,
         probs += np.abs(contrib) ** 2
     return class_sums(walk, probs)
 
-
-def adjacency_right_convention(walk: DenseWalk) -> np.ndarray:
-    """Adjacency built from g^{-1}h in C_gamma instead of gh^{-1}.
-
-    Must equal ``walk.adjacency`` entrywise: each S_n element is
-    conjugate to its inverse, so the two edge rules coincide for class
-    generating sets.
-    """
-    size = len(walk.vertices)
-    out = np.zeros((size, size))
-    for i, g in enumerate(walk.vertices):
-        ginv = _inverse(g)
-        for j, h in enumerate(walk.vertices):
-            if cycle_type(_compose(ginv, h)) == walk.generator:
-                out[i, j] = 1.0
-    return out

@@ -12,7 +12,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
@@ -137,17 +136,6 @@ def centralizer_order(lam: Partition) -> int:
 def class_size(lam: Partition) -> int:
     """|C_lambda| = n!/z_lambda, the number of permutations of cycle type lam."""
     return factorial(lam.n) // centralizer_order(lam)
-
-
-@dataclass(frozen=True)
-class ClassInfo:
-    partition: Partition
-    size: int
-    centralizer_order: int
-
-
-def class_info(lam: Partition) -> ClassInfo:
-    return ClassInfo(lam, class_size(lam), centralizer_order(lam))
 
 
 def transpose(lam: Partition) -> Partition:

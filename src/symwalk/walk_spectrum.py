@@ -14,21 +14,22 @@ f(g^{-1}h) = f(gh^{-1}) for class functions (the oracle tests this
 identity on the literal adjacency matrix).
 
 Eigenvalues are exact rationals (exact integers for single-class
-generators, the mechanism behind the walk's 2*pi periodicity); the only
-floating-point step is the final e^{itE}.  Phase terms are accumulated
-per distinct eigenvalue with exact integer coefficients, so destructive
-interference that is exact in the algebra (e.g. odd classes under an
-even generator) is exact in the output as well.
+generators, the mechanism behind the walk's 2*pi periodicity).  Phase
+terms are accumulated per distinct eigenvalue with exact integer
+coefficients, once per start class (``WalkKernel``); the only
+floating-point steps are e^{itE} and one matrix-vector product, so
+destructive interference that is exact in the algebra (e.g. odd classes
+under an even generator) is exact in the output as well.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from types import SimpleNamespace
 
 from .characters import CharacterTable, character_table, dimension
 from .errors import ConsistencyError, DegenerateGeneratorError, DomainError
@@ -102,6 +103,7 @@ class WalkSpectrum:
         self.f = f
         self.table = table
         self.records = records
+        self._kernels: dict[Partition, WalkKernel] = {}
 
     @cached_property
     def class_sizes(self) -> dict[Partition, int]:
@@ -117,6 +119,12 @@ class WalkSpectrum:
 
     def eigenvalue(self, nu: Partition) -> Fraction:
         return self.records[self.table.index(nu)].eigenvalue
+
+    def kernel(self, mu: Partition) -> "WalkKernel":
+        """The phase kernel from start class mu, built once per start."""
+        if mu not in self._kernels:
+            self._kernels[mu] = WalkKernel(self, mu)
+        return self._kernels[mu]
 
 
 def spectrum(n: int, f: ClassFunction, cap: int | None = None) -> WalkSpectrum:
@@ -157,66 +165,117 @@ class ClassDistribution:
     def total(self) -> float:
         return sum(self.probs.values())
 
+    @classmethod
+    def of(cls, spec: WalkSpectrum, t: float, probs) -> "ClassDistribution":
+        """Wrap an array of class probabilities in canonical class order."""
+        values = dict(zip(spec.table.classes, probs.tolist()))
+        per_element = {lam: p / spec.class_sizes[lam] for lam, p in values.items()}
+        return cls(n=spec.n, t=t, probs=values, per_element=per_element)
 
-def _phase_sum(spec: WalkSpectrum, lam: Partition, mu: Partition, phases) -> complex:
-    """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu), grouped by exact eigenvalue.
 
-    Grouping first and multiplying the exact integer coefficient after
-    makes algebraically exact cancellations exact in floating point.
+class WalkKernel:
+    """The walk from one start class mu as one exact integer matrix.
+
+    K[lam][G] = sum_{nu in G} chi_nu(lam) chi_nu(mu), with G running over
+    the groups of irreps that share one exact eigenvalue E_G.  Every
+    engine is a short formula over K:
+
+        quantum     |pref_lam * sum_G K[lam][G] e^{itE_G}|^2
+        classical   |C_lam|/n! * sum_G K[lam][G] e^{-t(d - E_G)}
+        limit       |C_lam||C_mu|/(n!)^2 * sum_G K[lam][G]^2
+
+    Grouping happens in exact integers before any float appears, so an
+    algebraically exact cancellation (a zero entry of K) stays exact in
+    floating point.  The float copies are made on first evaluation.
     """
-    col_l = spec.table.column(lam)
-    col_m = spec.table.column(mu)
-    total = 0j
-    for ev, members in spec.eigenvalue_classes:
-        coeff = sum(col_l[i] * col_m[i] for i in members)
-        if coeff:
-            total += phases(ev) * float(coeff)
-    return total
+
+    def __init__(self, spec: WalkSpectrum, mu: Partition):
+        if mu.n != spec.n:
+            raise DomainError(f"start class {mu} is not a partition of {spec.n}")
+        groups = spec.eigenvalue_classes
+        col_mu = spec.table.column(mu)
+        self.coefficients = tuple(
+            tuple(sum(col[i] * col_mu[i] for i in members) for _, members in groups)
+            for col in zip(*spec.table.entries)
+        )
+        self.energies = tuple(ev for ev, _ in groups)
+        self.spec = spec
+        self.mu = mu
+
+    @cached_property
+    def _arrays(self) -> SimpleNamespace:
+        """The float copies the engines evaluate.  Differences and ratios
+        are taken exactly and rounded once."""
+        import numpy as np
+
+        spec, nfact = self.spec, factorial(self.spec.n)
+        sizes = [spec.class_sizes[lam] for lam in spec.table.classes]
+        return SimpleNamespace(
+            # K transposed: summing it over axis 0 adds the groups one after
+            # another, in the order of a per-class loop (a BLAS product
+            # would not keep that order).
+            kt=np.array(self.coefficients, dtype=float).T.copy(),
+            prefactors=np.array([
+                math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
+            ]),
+            weights=np.array([s / nfact for s in sizes]),
+            energies=np.array([float(ev) for ev in self.energies]),
+            neg_gaps=np.array([float(ev - spec.f.degree()) for ev in self.energies]),  # -(d - E_G)
+        )
+
+    def amplitudes(self, t: float):
+        """<c_lam| e^{itH} |c_mu> for every target class lam, as an array."""
+        import numpy as np
+
+        a = self._arrays
+        if not math.isfinite(t * float(abs(a.energies).max())):
+            raise DomainError(f"time {t!r} overflows the phase t*E")
+        return a.prefactors * (a.kt * np.exp(1j * t * a.energies)[:, None]).sum(axis=0)
+
+    def quantum_probabilities(self, t: float):
+        return abs(self.amplitudes(t)) ** 2
+
+    def classical_probabilities(self, t: float):
+        """Class masses of e^{-tL} started uniform on C_mu; L = d - H has
+        eigenvalue d - E_G on the group G, d the degree."""
+        import numpy as np
+
+        if not t >= 0:
+            raise DomainError(f"the classical walk runs forward in time, got t={t!r}")
+        a = self._arrays
+        with np.errstate(over="ignore"):  # t*(E_G - d) may round to -inf; e^-inf is 0
+            decay = np.exp(t * a.neg_gaps)
+        return np.maximum(a.weights * (a.kt * decay[:, None]).sum(axis=0), 0.0)
+
+    def limiting_sums(self) -> list[int]:
+        """sum_G K[lam][G]^2 per target class lam, exact."""
+        return [sum(k * k for k in row) for row in self.coefficients]
 
 
 def class_amplitude(spec: WalkSpectrum, lam: Partition, mu: Partition, t: float) -> complex:
     """<c_lam| e^{itH} |c_mu> for class-uniform unit states c."""
     if lam.n != spec.n or mu.n != spec.n:
         raise DomainError("start and target classes must partition the walk's n")
-    nfact = factorial(spec.n)
-    pref = math.sqrt(Fraction(spec.class_sizes[lam] * spec.class_sizes[mu], nfact * nfact))
-    return pref * _phase_sum(spec, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
+    return complex(spec.kernel(mu).amplitudes(t)[spec.table.index(lam)])
 
 
 def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
     """Measurement distribution over classes at time t, started from c_mu."""
-    probs = {}
-    per_element = {}
-    for lam in spec.table.classes:
-        p = abs(class_amplitude(spec, lam, mu, t)) ** 2
-        probs[lam] = p
-        per_element[lam] = p / spec.class_sizes[lam]
-    return ClassDistribution(n=spec.n, t=t, probs=probs, per_element=per_element)
+    return ClassDistribution.of(spec, t, spec.kernel(mu).quantum_probabilities(t))
 
 
 def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
     """Continuous-time random walk M(t) = e^{-tL}, aggregated per class.
 
-    Started from the uniform distribution on C_mu; L shares the walk's
-    eigenvectors with eigenvalue d - E_nu on the nu-block, d the degree.
-    Only 0/1 generator weightings give a genuine Laplacian.
+    Started from the uniform distribution on C_mu.  Only 0/1 generator
+    weightings give a genuine Laplacian.
     """
     for w in spec.f.weights.values():
         if w < 0:
             raise DomainError("negative generator weights do not give a stochastic process")
     if not spec.f.is_zero_one():
         raise DomainError("classical walk requires a 0/1 generator indicator")
-    d = spec.f.degree()
-    nfact = factorial(spec.n)
-    probs = {}
-    per_element = {}
-    for lam in spec.table.classes:
-        s = _phase_sum(spec, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
-        p = spec.class_sizes[lam] / nfact * s.real
-        p = max(p, 0.0)
-        probs[lam] = p
-        per_element[lam] = p / spec.class_sizes[lam]
-    return ClassDistribution(n=spec.n, t=t, probs=probs, per_element=per_element)
+    return ClassDistribution.of(spec, t, spec.kernel(mu).classical_probabilities(t))
 
 
 def ncycle_amplitude_closed_form(n: int, t: float) -> complex:

@@ -220,3 +220,49 @@ def test_limit_with_numeric_average(capsys):
     )
     payload = json.loads(out)
     assert payload["time_average"]["max_abs_gap"] < 1e-6
+
+
+def _assert_json_error(code, out, err, want_code):
+    assert code == want_code
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == want_code
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--n", "4", "--generator", "2,1,1", "--t", "nan"),
+    ("distribution", "--n", "4", "--generator", "2,1,1", "--t", "inf"),
+    ("amplitude", "--n", "4", "--generator", "2,1,1", "--target", "4", "--t", "-inf"),
+    ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "0,inf,2"),
+    ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "nan,1,2"),
+    ("limit", "--n", "4", "--generator", "2,1,1", "--average", "inf,4"),
+])
+def test_non_finite_times_are_refused(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+def test_grid_step_count_is_capped(capsys):
+    from symwalk.caps import TIME_POINTS_CAP
+
+    steps = str(TIME_POINTS_CAP + 1)
+    _assert_json_error(*run_cli(capsys, "distribution", "--n", "4", "--generator", "2,1,1",
+                                "--t-grid", f"0,1,{steps}"), 3)
+    _assert_json_error(*run_cli(capsys, "distribution", "--n", "4", "--generator", "2,1,1",
+                                "--t-grid", "0,1,100000000000"), 3)
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    _assert_json_error(*run_cli(capsys, "distribution", "--n", "3", "--generator", "2,1",
+                                "--t", "0.5", "-o", str(target)), 1)
+
+
+def test_table_too_large_to_print_is_a_resource_refusal(capsys):
+    _assert_json_error(*run_cli(capsys, "table", "--n", "3000"), 3)
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_refuses_empty_time_sample(capsys, samples):
+    _assert_json_error(*run_cli(capsys, "verify", "--n", "3", "--t-samples", samples), 1)

@@ -66,7 +66,7 @@ def test_hook_collisions_n5_p3():
     groups = eigenvalue_groups(spec)
     for k in range(1, 6):
         partner = 5 - k + 1
-        g = groups.group_of(hook(5, k))
+        g = next(g for g in groups.groups if hook(5, k) in g)
         assert hook(5, partner) in g
     hook_values = {k: hook_ratio(5, k, spec) for k in range(1, 6)}
     for k in range(1, 6):
@@ -245,3 +245,20 @@ def test_limiting_matches_oracle_cesaro(n):
         exact = limiting_class_distribution(spec, ident)
         for lam, p in exact.probs.items():
             assert abs(float(p) - dense.get(lam, 0.0)) < 1e-9
+
+
+def test_kernel_limit_matches_per_pair_grouping_n14():
+    n = 14
+    spec = spectrum(n, ClassFunction.transpositions(n))
+    mu = identity_partition(n)
+    exact = limiting_class_distribution(spec, mu)
+    nfact = factorial(n)
+    for lam in spec.table.classes:
+        coeff = {}
+        for rec in spec.records:
+            term = spec.table.value(rec.rep, lam) * spec.table.value(rec.rep, mu)
+            coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
+        want = Fraction(class_size(lam) * class_size(mu) * sum(c * c for c in coeff.values()),
+                        nfact**2)
+        assert exact.probs[lam] == want
+

@@ -6,7 +6,6 @@ import pytest
 
 from symwalk.errors import DegenerateGeneratorError, DomainError, ResourceLimitError
 from symwalk.oracle import (
-    adjacency_right_convention,
     build_cayley,
     class_aggregate,
     class_sums,
@@ -96,7 +95,22 @@ def _inverse(g):
     return tuple(inv)
 
 
+def adjacency_right_convention(walk):
+    """Adjacency built from g^{-1}h in C_gamma instead of gh^{-1}."""
+    size = len(walk.vertices)
+    out = np.zeros((size, size))
+    for i, g in enumerate(walk.vertices):
+        ginv = _inverse(g)
+        for j, h in enumerate(walk.vertices):
+            prod = tuple(ginv[h[x] - 1] for x in range(len(g)))
+            if cycle_type(prod) == walk.generator:
+                out[i, j] = 1.0
+    return out
+
+
 def test_edge_convention_identity():
+    # Each S_n element is conjugate to its inverse, so the two edge rules
+    # coincide for class generating sets.
     for n, gamma in ((3, Partition((2, 1))), (4, Partition((3, 1)))):
         walk = build_cayley(n, gamma)
         assert np.array_equal(walk.adjacency, adjacency_right_convention(walk))

@@ -153,7 +153,7 @@ def test_even_generator_leaves_odd_classes_exactly_empty(gamma):
     dist = class_distribution(spec, identity_partition(n), 0.9)
     for lam, p in dist.probs.items():
         if (n - len(lam.parts)) % 2 == 1:
-            assert p <= 1e-12
+            assert p == 0.0
     assert abs(dist.total() - 1) < 1e-10
 
 
@@ -223,3 +223,63 @@ def test_integrality_assertion_wired():
     # by verifying the single-class path computes integer eigenvalues.
     spec = spectrum(6, ClassFunction.indicator(Partition((4, 2))))
     assert all(r.eigenvalue.denominator == 1 for r in spec.records)
+
+
+def _grouped_phase_sum(spec, lam, mu, phase):
+    """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu) for one (lam, mu) pair,
+    with the exact integer coefficient of each distinct E_nu summed first."""
+    coeff = {}
+    for rec in spec.records:
+        term = spec.table.value(rec.rep, lam) * spec.table.value(rec.rep, mu)
+        coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
+    return sum(phase(ev) * float(c) for ev, c in coeff.items() if c)
+
+
+def test_kernel_matches_per_pair_phase_sum_n14():
+    n = 14
+    spec = spectrum(n, ClassFunction.transpositions(n))
+    nfact = factorial(n)
+    d = spec.f.degree()
+    for mu in (identity_partition(n), Partition((3, 3, 3, 3, 1, 1))):
+        for t in (0.3, 1.7, 4.1):
+            quantum = class_distribution(spec, mu, t)
+            classical = classical_class_distribution(spec, mu, t)
+            for lam in spec.table.classes:
+                pref = math.sqrt(Fraction(class_size(lam) * class_size(mu), nfact**2))
+                amp = pref * _grouped_phase_sum(
+                    spec, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
+                assert abs(quantum.probs[lam] - abs(amp) ** 2) <= 1e-15
+                heat = _grouped_phase_sum(
+                    spec, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
+                want = max(class_size(lam) / nfact * heat, 0.0)
+                assert abs(classical.probs[lam] - want) <= 1e-15
+
+
+def test_ncycle_amplitude_matches_closed_form_n14():
+    n = 14
+    spec = spectrum(n, ClassFunction.transpositions(n))
+    for j in range(64):
+        t = 2 * math.pi * j / 64
+        amp = class_amplitude(spec, Partition((n,)), identity_partition(n), t)
+        assert abs(amp - ncycle_amplitude_closed_form(n, t)) <= 1e-10
+
+
+def test_kernel_is_built_once_per_start():
+    spec = spectrum(6, ClassFunction.transpositions(6))
+    mu = Partition((3, 3))
+    assert spec.kernel(mu) is spec.kernel(mu)
+    assert spec.kernel(mu) is not spec.kernel(identity_partition(6))
+    with pytest.raises(DomainError):
+        spec.kernel(Partition((3, 2)))
+
+
+def test_overflowing_phase_is_refused():
+    spec = spectrum(4, ClassFunction.transpositions(4))
+    with pytest.raises(DomainError):
+        class_distribution(spec, identity_partition(4), 1e308)
+    with pytest.raises(DomainError):
+        classical_class_distribution(spec, identity_partition(4), -1.0)
+    # Decay to the stationary law, not NaN, when t*(d - E) overflows.
+    far = classical_class_distribution(spec, identity_partition(4), 1e308)
+    for lam, p in far.probs.items():
+        assert p == pytest.approx(class_size(lam) / 24, abs=1e-15)
