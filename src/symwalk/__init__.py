@@ -25,7 +25,6 @@ from .limiting import (
     time_averaged_distribution,
     tv_distance,
 )
-from .oracle import DenseWalk, build_cayley, class_aggregate, evolve_classical, evolve_quantum
 from .partitions import (
     Partition,
     class_size,

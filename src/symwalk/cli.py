@@ -18,7 +18,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import oracle as oracle_mod
 from .caps import TIME_POINTS_CAP
 from .characters import character_table
 from .errors import ResourceLimitError, SymwalkError
@@ -30,7 +29,6 @@ from .limiting import (
     tv_distance,
 )
 from .partitions import Partition, class_size, identity_partition, is_even_class
-from .verify import run_suite
 from .walk_spectrum import (
     ClassFunction,
     class_amplitude,
@@ -408,6 +406,8 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
+    from .verify import run_suite  # loads numpy, which the exact commands never need
+
     results = run_suite(cfg.n, t_samples=cfg.t_samples, oracle_cap=cfg.oracle_cap,
                         detailed=cfg.detailed)
     checks = []
@@ -432,6 +432,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(cfg: argparse.Namespace) -> int:
+    from . import oracle as oracle_mod  # loads numpy, as in _cmd_verify
+
     if len(cfg.generators) != 1:
         raise UsageError("oracle needs exactly one --generator")
     gamma = cfg.generators[0][0]

@@ -2,9 +2,11 @@
 
 Vertices are the permutations of {1..n} in lexicographic one-line order;
 {g, h} is an edge iff the cycle type of g h^{-1} equals the generator
-class.  The dense real-symmetric adjacency matrix is eigendecomposed
-once (lazily) and the factorization is reused across every evolution
-time, both quantum e^{itA} and classical e^{-tL}.
+class.  The graph is built from index arrays: s o g for every vertex g
+at once is ``s[perms - 1]``, ranked by a lexicographic code.  The dense
+real-symmetric adjacency matrix is eigendecomposed once (lazily) and the
+factorization is reused across every evolution time, both quantum
+e^{itA} and classical e^{-tL}, and by the Cesaro limit.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
@@ -14,25 +16,35 @@ delegated to the character and limiting modules.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
 from .caps import ORACLE_CAP, check_cap
-from .errors import DegenerateGeneratorError, DomainError
-from .partitions import Partition, class_size, cycle_type, identity_partition
+from .errors import DegenerateGeneratorError, DomainError, InvalidPermutationError
+from .partitions import Partition, class_size, cycle_type, enumerate_partitions, identity_partition
 
 StartState = Partition | tuple | list | np.ndarray
+
+# Eigenvalues of the Cesaro limit closer than this form one cluster; the
+# true spectrum is integral for single-class generators.
+CLUSTER_TOL = 1e-6
 
 
 @dataclass
 class DenseWalk:
-    """The literal walk: all n! vertices plus a reusable eigensystem."""
+    """The literal walk: all n! vertices plus a reusable eigensystem.
+
+    ``classes`` lists the cycle types in canonical order, and
+    ``class_index[i]`` is the position in it of vertex i's cycle type.
+    """
 
     n: int
     generator: Partition
     vertices: list[tuple[int, ...]]
+    classes: list[Partition]
+    class_index: np.ndarray
     adjacency: np.ndarray
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -41,13 +53,11 @@ class DenseWalk:
         return class_size(self.generator)
 
     def vertex_index(self, perm: tuple[int, ...]) -> int:
-        return self._index[tuple(perm)]
-
-    @property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        if not hasattr(self, "_index_cache"):
-            self._index_cache = {v: i for i, v in enumerate(self.vertices)}
-        return self._index_cache
+        """Lex position of a permutation given in one-line notation."""
+        i = bisect_left(self.vertices, tuple(perm))
+        if i == len(self.vertices) or self.vertices[i] != tuple(perm):
+            raise InvalidPermutationError(f"{perm!r} is not a permutation of 1..{self.n}")
+        return i
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, orthonormal eigenvectors) of the adjacency matrix."""
@@ -57,19 +67,12 @@ class DenseWalk:
         return self._eigensystem
 
     def class_of_vertex(self) -> list[Partition]:
-        if not hasattr(self, "_class_cache"):
-            self._class_cache = [cycle_type(v) for v in self.vertices]
-        return self._class_cache
+        return [self.classes[k] for k in self.class_index]
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
         rows, cols = np.nonzero(np.triu(self.adjacency))
         return [(self.vertices[i], self.vertices[j]) for i, j in zip(rows, cols)]
-
-
-def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """(g o h)(x) = g(h(x)) on one-line tuples over {1..n}."""
-    return tuple(g[h[x] - 1] for x in range(len(g)))
 
 
 def build_cayley(n: int, gamma: Partition, cap: int | None = None) -> DenseWalk:
@@ -83,17 +86,21 @@ def build_cayley(n: int, gamma: Partition, cap: int | None = None) -> DenseWalk:
         raise DomainError(f"generator {gamma} is not a partition of {n}")
     if gamma == identity_partition(n):
         raise DegenerateGeneratorError("the identity class does not generate a walk")
-    vertices = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    index = {v: i for i, v in enumerate(vertices)}
-    generators = [v for v in vertices if cycle_type(v) == gamma]
-    size = len(vertices)
-    adjacency = np.zeros((size, size))
-    for i, g in enumerate(vertices):
-        for s in generators:
-            adjacency[index[_compose(s, g)], i] = 1.0
-    walk = DenseWalk(n=n, generator=gamma, vertices=vertices, adjacency=adjacency)
-    walk._index_cache = index
-    return walk
+    vertices = list(itertools.permutations(range(1, n + 1)))
+    classes = enumerate_partitions(n)
+    position = {lam: k for k, lam in enumerate(classes)}
+    class_index = np.array([position[cycle_type(v)] for v in vertices])
+    perms = np.array(vertices)
+    # Entries 1..n read as base-(n + 1) digits: the codes of the lex-ordered
+    # vertices are increasing, so searchsorted ranks any permutation.
+    digits = (n + 1) ** np.arange(n - 1, -1, -1)
+    codes = perms @ digits
+    targets = np.arange(len(vertices))
+    adjacency = np.zeros((len(vertices), len(vertices)))
+    for s in perms[class_index == position[gamma]]:
+        adjacency[np.searchsorted(codes, s[perms - 1] @ digits), targets] = 1.0
+    return DenseWalk(n=n, generator=gamma, vertices=vertices, classes=classes,
+                     class_index=class_index, adjacency=adjacency)
 
 
 def _start_state(walk: DenseWalk, start: StartState, quantum: bool) -> np.ndarray:
@@ -103,9 +110,11 @@ def _start_state(walk: DenseWalk, start: StartState, quantum: bool) -> np.ndarra
     dtype = complex if quantum else float
     if isinstance(start, (Partition, tuple, list)):
         if isinstance(start, Partition):
-            members = [i for i, c in enumerate(walk.class_of_vertex()) if c == start]
+            if start.n != walk.n:
+                raise DomainError(f"start class {start} is not a partition of {walk.n}")
+            members = np.flatnonzero(walk.class_index == walk.classes.index(start))
         else:
-            members = [walk.vertex_index(tuple(start))]
+            members = [walk.vertex_index(start)]
         vec = np.zeros(size, dtype=dtype)
         vec[members] = 1.0 / (np.sqrt(len(members)) if quantum else len(members))
         return vec
@@ -149,14 +158,10 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
     informational.
     """
     vec = np.asarray(vec)
-    classes = walk.class_of_vertex()
-    members: dict[Partition, list[int]] = {}
-    for i, lam in enumerate(classes):
-        members.setdefault(lam, []).append(i)
     sums = {}
     deviation = 0.0
-    for lam, idx in members.items():
-        vals = vec[idx]
+    for k, lam in enumerate(walk.classes):
+        vals = vec[walk.class_index == k]
         sums[lam] = float(np.sum(np.abs(vals) ** 2))
         deviation = max(deviation, float(np.max(np.abs(vals - vals.mean()))))
     return ClassAggregate(sums=sums, max_class_deviation=deviation)
@@ -164,37 +169,22 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
 
 def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
     """Plain per-class sums of a real vector (classical probabilities)."""
-    sums: dict[Partition, float] = {}
-    for lam, v in zip(walk.class_of_vertex(), np.asarray(vec)):
-        sums[lam] = sums.get(lam, 0.0) + float(v)
-    return sums
+    totals = np.bincount(walk.class_index, weights=vec, minlength=len(walk.classes))
+    return dict(zip(walk.classes, totals.tolist()))
 
 
-def limiting_distribution(walk: DenseWalk, start: StartState,
-                          cluster_tol: float = 1e-6) -> dict[Partition, float]:
+def limiting_distribution(walk: DenseWalk, start: StartState) -> dict[Partition, float]:
     """Cesaro time average per class from the dense eigensystem.
 
     Averaging kills cross terms between distinct eigenvalues, so the
     limit is sum over eigenvalue clusters of |projection|^2 per vertex.
-    Clusters are split at gaps above ``cluster_tol`` (the true spectrum
-    is integral for single-class generators).
+    Clusters are split at gaps above ``CLUSTER_TOL``.
     """
     evals, evecs = walk.eigensystem()
-    psi = _start_state(walk, start, quantum=True)
-    weights = evecs.T @ psi
+    weights = evecs.T @ _start_state(walk, start, quantum=True)
     order = np.argsort(evals)
+    gaps = np.flatnonzero(np.diff(evals[order]) > CLUSTER_TOL) + 1
     probs = np.zeros(len(walk.vertices))
-    block: list[int] = []
-    prev = None
-    for a in order:
-        if prev is not None and evals[a] - prev > cluster_tol:
-            contrib = evecs[:, block] @ weights[block]
-            probs += np.abs(contrib) ** 2
-            block = []
-        block.append(a)
-        prev = evals[a]
-    if block:
-        contrib = evecs[:, block] @ weights[block]
-        probs += np.abs(contrib) ** 2
+    for block in np.split(order, gaps):
+        probs += np.abs(evecs[:, block] @ weights[block]) ** 2
     return class_sums(walk, probs)
-

@@ -1,7 +1,9 @@
 """Cross-engine verification: spectral formulas against the dense oracle
 and the closed-form character formulas against the recursion.
 
-Each check returns a CheckResult; the CLI ``verify`` subcommand runs the
+Each check returns a CheckResult, except the three oracle comparisons:
+they return the worst error on one graph, and ``run_suite`` gathers
+them over the generator classes.  The CLI ``verify`` subcommand runs the
 whole battery for one n and reports per-check pass/fail with the worst
 absolute error where a tolerance applies.
 """
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import oracle as oracle_mod
 from .characters import (
@@ -21,17 +22,22 @@ from .characters import (
     check_orthogonality,
     dimension,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .limiting import limiting_class_distribution, table_ncycle_probability
 from .partitions import Partition, enumerate_partitions, hook, identity_partition
 from .walk_spectrum import (
     ClassFunction,
+    WalkSpectrum,
     class_amplitude,
     class_distribution,
     classical_class_distribution,
     ncycle_amplitude_closed_form,
     spectrum,
 )
+
+
+# Largest error an oracle check passes with.
+ORACLE_TOL = 1e-9
 
 
 @dataclass
@@ -49,56 +55,49 @@ def generator_classes(n: int) -> list[Partition]:
     return [lam for lam in enumerate_partitions(n) if lam != ident]
 
 
-def check_quantum_vs_oracle(
-    n: int, t_samples: int = 16, tol: float = 1e-9,
-    oracle_cap: int | None = None, detailed: bool = False,
-) -> CheckResult:
-    """Spectral class probabilities against dense e^{itA}, identity start."""
-    ident = identity_partition(n)
-    times = [2 * math.pi * j / t_samples for j in range(t_samples)]
+def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, times,
+                            rows: list | None = None) -> float:
+    """Worst gap between spectral class probabilities and dense e^{itA}
+    on one graph, identity start; appends per (t, class) rows if given."""
+    ident = identity_partition(walk.n)
     worst = 0.0
-    rows = []
-    for gamma in generator_classes(n):
-        walk = oracle_mod.build_cayley(n, gamma, cap=oracle_cap)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
-        for t in times:
-            dense = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t))
-            dist = class_distribution(spec, ident, t)
-            for lam, p in dist.probs.items():
-                err = abs(p - dense.sums.get(lam, 0.0))
-                worst = max(worst, err)
-                if detailed:
-                    rows.append(
-                        {"generator": str(gamma), "t": t, "class": str(lam),
-                         "max_abs_error": err}
-                    )
-    return CheckResult(
-        name="quantum_vs_oracle", passed=worst <= tol, max_abs_error=worst,
-        detail=rows if detailed else None,
-    )
+    for t in times:
+        dense = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t))
+        for lam, p in class_distribution(spec, ident, t).probs.items():
+            err = abs(p - dense.sums.get(lam, 0.0))
+            worst = max(worst, err)
+            if rows is not None:
+                rows.append(
+                    {"generator": str(walk.generator), "t": t, "class": str(lam),
+                     "max_abs_error": err}
+                )
+    return worst
 
 
-def check_classical_vs_oracle(
-    n: int, times=(0.1, 0.5, 2.0), tol: float = 1e-9, oracle_cap: int | None = None,
-) -> CheckResult:
-    """Spectral classical engine against dense e^{-tL}, identity start."""
-    ident = identity_partition(n)
+def check_classical_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum,
+                              times=(0.1, 0.5, 2.0)) -> float:
+    """Worst gap between the spectral classical engine and dense e^{-tL}
+    on one graph, identity start."""
+    ident = identity_partition(walk.n)
     worst = 0.0
-    for gamma in generator_classes(n):
-        walk = oracle_mod.build_cayley(n, gamma, cap=oracle_cap)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
-        for t in times:
-            dense = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, ident, t))
-            dist = classical_class_distribution(spec, ident, t)
-            for lam, p in dist.probs.items():
-                worst = max(worst, abs(p - dense.get(lam, 0.0)))
-    return CheckResult(name="classical_vs_oracle", passed=worst <= tol, max_abs_error=worst)
+    for t in times:
+        dense = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, ident, t))
+        for lam, p in classical_class_distribution(spec, ident, t).probs.items():
+            worst = max(worst, abs(p - dense.get(lam, 0.0)))
+    return worst
+
+
+def check_limiting_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> float:
+    """Worst gap between the exact limiting distribution and the dense
+    Cesaro average on one graph, identity start."""
+    ident = identity_partition(walk.n)
+    dense = oracle_mod.limiting_distribution(walk, ident)
+    exact = limiting_class_distribution(spec, ident)
+    return max(abs(float(p) - dense.get(lam, 0.0)) for lam, p in exact.probs.items())
 
 
 def check_transposition_closed_form(n: int) -> CheckResult:
     """Ingram's formula equals the recursion on every irrep (exact)."""
-    if n < 2:
-        return CheckResult(name="transposition_closed_form", passed=True)
     tau = hook(n, 2)
     ok = all(
         character_transposition(nu) == character(nu, tau)
@@ -149,8 +148,6 @@ def check_eigenvalue_integrality(n: int) -> CheckResult:
 
 def check_sine_closed_form(n: int, t_samples: int = 64, tol: float = 1e-10) -> CheckResult:
     """(2i sin(tn/2))^(n-1)/sqrt(n*n!) against the full spectral sum."""
-    if n < 2:
-        return CheckResult(name="sine_closed_form", passed=True)
     spec = spectrum(n, ClassFunction.transpositions(n))
     ident = identity_partition(n)
     ncycle = Partition((n,))
@@ -179,20 +176,6 @@ def check_limiting_table(n: int) -> CheckResult:
     return CheckResult(name="limiting_table", passed=True)
 
 
-def check_limiting_vs_oracle(n: int, tol: float = 1e-9, oracle_cap: int | None = None) -> CheckResult:
-    """Exact limiting distribution against the dense Cesaro average."""
-    ident = identity_partition(n)
-    worst = 0.0
-    for gamma in generator_classes(n):
-        walk = oracle_mod.build_cayley(n, gamma, cap=oracle_cap)
-        dense = oracle_mod.limiting_distribution(walk, ident)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
-        exact = limiting_class_distribution(spec, ident)
-        for lam, p in exact.probs.items():
-            worst = max(worst, abs(float(p) - dense.get(lam, 0.0)))
-    return CheckResult(name="limiting_vs_oracle", passed=worst <= tol, max_abs_error=worst)
-
-
 def check_dimension_agreement(n: int) -> CheckResult:
     """Hook-length dimensions equal recursion values at the identity."""
     ident = identity_partition(n)
@@ -202,10 +185,30 @@ def check_dimension_agreement(n: int) -> CheckResult:
 
 def run_suite(n: int, t_samples: int = 16, oracle_cap: int | None = None,
               detailed: bool = False) -> list[CheckResult]:
-    """The full battery for one n, oracle checks included."""
+    """The full battery for one n.
+
+    The three oracle checks share one dense graph and eigensystem per
+    generator class; the quantum one samples t_samples times over one
+    period.
+    """
+    if n < 2:
+        raise DomainError(f"verify needs n >= 2, got {n}")
+    times = [2 * math.pi * j / t_samples for j in range(t_samples)]
+    rows = [] if detailed else None
+    errors = []
+    for gamma in generator_classes(n):
+        walk = oracle_mod.build_cayley(n, gamma, cap=oracle_cap)
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        errors.append((check_quantum_vs_oracle(walk, spec, times, rows),
+                       check_classical_vs_oracle(walk, spec),
+                       check_limiting_vs_oracle(walk, spec)))
+        del walk  # free this graph before the next one is built
+    quantum, classical, limiting = (max(column) for column in zip(*errors))
     return [
-        check_quantum_vs_oracle(n, t_samples=t_samples, oracle_cap=oracle_cap, detailed=detailed),
-        check_classical_vs_oracle(n, oracle_cap=oracle_cap),
+        CheckResult(name="quantum_vs_oracle", passed=quantum <= ORACLE_TOL,
+                    max_abs_error=quantum, detail=rows),
+        CheckResult(name="classical_vs_oracle", passed=classical <= ORACLE_TOL,
+                    max_abs_error=classical),
         check_transposition_closed_form(n),
         check_hook_ncycle_characters(n),
         check_hook_pcycle_characters(n),
@@ -214,5 +217,6 @@ def run_suite(n: int, t_samples: int = 16, oracle_cap: int | None = None,
         check_dimension_agreement(n),
         check_sine_closed_form(n),
         check_limiting_table(n),
-        check_limiting_vs_oracle(n, oracle_cap=oracle_cap),
+        CheckResult(name="limiting_vs_oracle", passed=limiting <= ORACLE_TOL,
+                    max_abs_error=limiting),
     ]

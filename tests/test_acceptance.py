@@ -36,6 +36,7 @@ from symwalk.partitions import (
     hook,
     identity_partition,
 )
+from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import (
     ClassFunction,
     class_amplitude,
@@ -50,11 +51,6 @@ from symwalk.walk_spectrum import (
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-def generator_classes(n):
-    ident = identity_partition(n)
-    return [lam for lam in enumerate_partitions(n) if lam != ident]
 
 
 def test_criterion_1_oracle_equivalence():

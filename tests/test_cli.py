@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import symwalk
 from symwalk.cli import main
 
 
@@ -203,10 +205,18 @@ def test_output_file(tmp_path, capsys):
     assert payload["n"] == 3
 
 
+def _subprocess_env():
+    """This environment with the imported symwalk's directory on PYTHONPATH,
+    so a child process finds the package without an install."""
+    src = os.path.dirname(os.path.dirname(symwalk.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symwalk", "table", "--n", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_subprocess_env(),
     )
     assert proc.returncode == 0
     records = [json.loads(line) for line in proc.stdout.strip().splitlines()]
@@ -266,3 +276,22 @@ def test_table_too_large_to_print_is_a_resource_refusal(capsys):
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_verify_refuses_empty_time_sample(capsys, samples):
     _assert_json_error(*run_cli(capsys, "verify", "--n", "3", "--t-samples", samples), 1)
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_verify_refuses_n_without_a_walk(capsys, n):
+    _assert_json_error(*run_cli(capsys, "verify", "--n", n), 1)
+
+
+def test_exact_commands_do_not_load_numpy():
+    script = (
+        "import sys\n"
+        "from symwalk.cli import main\n"
+        "for argv in (['limit', '--n', '4', '--generator', '2,1,1'], ['table', '--n', '4'],\n"
+        "             ['spectrum', '--n', '4', '--generator', '3,1'], ['characters', '--n', '4']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr

@@ -22,12 +22,8 @@ from symwalk.partitions import (
     identity_partition,
     is_even_class,
 )
+from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, spectrum
-
-
-def generator_classes(n):
-    ident = identity_partition(n)
-    return [lam for lam in enumerate_partitions(n) if lam != ident]
 
 
 def hook_ratio(n, k, gamma_spec):

@@ -4,7 +4,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from symwalk.errors import DegenerateGeneratorError, DomainError, ResourceLimitError
+from symwalk.errors import (
+    DegenerateGeneratorError,
+    DomainError,
+    InvalidPermutationError,
+    ResourceLimitError,
+)
 from symwalk.oracle import (
     build_cayley,
     class_aggregate,
@@ -17,16 +22,11 @@ from symwalk.partitions import (
     Partition,
     class_size,
     cycle_type,
-    enumerate_partitions,
     identity_partition,
     is_even_class,
 )
+from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, spectrum
-
-
-def generator_classes(n):
-    ident = identity_partition(n)
-    return [lam for lam in enumerate_partitions(n) if lam != ident]
 
 
 def test_n2_single_edge():
@@ -110,8 +110,10 @@ def adjacency_right_convention(walk):
 
 def test_edge_convention_identity():
     # Each S_n element is conjugate to its inverse, so the two edge rules
-    # coincide for class generating sets.
-    for n, gamma in ((3, Partition((2, 1))), (4, Partition((3, 1)))):
+    # coincide for class generating sets.  The loop reference also pins
+    # the array-built adjacency exactly, for every generator at n <= 4.
+    cases = [(n, gamma) for n in (2, 3, 4) for gamma in generator_classes(n)]
+    for n, gamma in cases + [(5, Partition((3, 1, 1)))]:
         walk = build_cayley(n, gamma)
         assert np.array_equal(walk.adjacency, adjacency_right_convention(walk))
 
@@ -123,6 +125,27 @@ def test_caps():
         build_cayley(3, identity_partition(3))
     with pytest.raises(DomainError):
         build_cayley(3, Partition((2, 2)))
+
+
+@pytest.mark.parametrize("start", [(1, 1, 3), (1, 2), (1, 2, 3, 4), [3, 1, 4], (0, 1, 2)])
+def test_start_that_is_not_a_permutation_is_refused(start):
+    walk = build_cayley(3, Partition((2, 1)))
+    with pytest.raises(InvalidPermutationError):
+        evolve_quantum(walk, start, 0.5)
+    with pytest.raises(InvalidPermutationError):
+        evolve_classical(walk, start, 0.5)
+
+
+def test_start_class_of_another_n_is_refused():
+    walk = build_cayley(3, Partition((2, 1)))
+    with pytest.raises(DomainError):
+        evolve_quantum(walk, identity_partition(4), 0.5)
+
+
+def test_vertex_index_is_lex_rank():
+    walk = build_cayley(4, Partition((2, 1, 1)))
+    assert [walk.vertex_index(v) for v in walk.vertices] == list(range(factorial(4)))
+    assert walk.vertex_index([4, 3, 2, 1]) == factorial(4) - 1
 
 
 def test_evolve_t0_and_norm():

@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from symwalk import oracle, verify
+from symwalk.errors import DomainError
+from symwalk.oracle import ClassAggregate
+
+ORACLE_CHECKS = ("quantum_vs_oracle", "classical_vs_oracle", "limiting_vs_oracle")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_graph_is_built_and_diagonalised_once(monkeypatch):
+    builds = _counting(monkeypatch, oracle, "build_cayley")
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    results = verify.run_suite(4)
+    assert all(r.passed for r in results)
+    assert len(builds) == len(eighs) == len(verify.generator_classes(4)) == 4
+    names = [r.name for r in results]
+    assert (names[0], names[1], names[-1]) == ORACLE_CHECKS and len(names) == 11
+
+
+def _offset_aggregate(original):
+    def offset(walk, vec):
+        agg = original(walk, vec)
+        return ClassAggregate({lam: p + 1e-6 for lam, p in agg.sums.items()},
+                              agg.max_class_deviation)
+    return offset
+
+
+def _offset_vector(original):
+    return lambda walk, start, t: original(walk, start, t) + 1e-6
+
+
+def _offset_limit(original):
+    def offset(walk, start):
+        return {lam: p + 1e-6 for lam, p in original(walk, start).items()}
+    return offset
+
+
+@pytest.mark.parametrize("target, name, wrap", [
+    ("quantum_vs_oracle", "class_aggregate", _offset_aggregate),
+    ("classical_vs_oracle", "evolve_classical", _offset_vector),
+    ("limiting_vs_oracle", "limiting_distribution", _offset_limit),
+])
+def test_oracle_checks_fail_on_a_perturbed_oracle(monkeypatch, target, name, wrap):
+    # A check that cannot fail shows nothing: a 1e-6 error in exactly one
+    # oracle output must fail exactly the check that reads it.
+    monkeypatch.setattr(oracle, name, wrap(getattr(oracle, name)))
+    passed = {r.name: r.passed for r in verify.run_suite(3)}
+    assert {check: passed[check] for check in ORACLE_CHECKS} == {
+        check: check != target for check in ORACLE_CHECKS
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_suite_refuses_n_without_a_walk(n):
+    with pytest.raises(DomainError):
+        verify.run_suite(n)

@@ -16,6 +16,7 @@ from symwalk.partitions import (
     identity_partition,
     transpose,
 )
+from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import (
     ClassFunction,
     class_amplitude,
@@ -25,11 +26,6 @@ from symwalk.walk_spectrum import (
     ncycle_amplitude_closed_form,
     spectrum,
 )
-
-
-def generator_classes(n):
-    ident = identity_partition(n)
-    return [lam for lam in enumerate_partitions(n) if lam != ident]
 
 
 def test_class_function_validation():
