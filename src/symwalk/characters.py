@@ -138,16 +138,9 @@ class CharacterTable:
     def value(self, nu: Partition, lam: Partition) -> int:
         return self.entries[self.index(nu)][self.index(lam)]
 
-    def row(self, nu: Partition) -> tuple[int, ...]:
-        return self.entries[self.index(nu)]
-
     def column(self, lam: Partition) -> tuple[int, ...]:
         j = self.index(lam)
         return tuple(row[j] for row in self.entries)
-
-    def dimensions(self) -> tuple[int, ...]:
-        # The identity class is last in canonical order.
-        return self.column(self.classes[-1])
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -167,9 +160,9 @@ class CharacterTable:
         }
 
 
-def character_table(n: int, cap: int | None = None) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Materialize the full p(n) x p(n) table (default cap n <= 14)."""
-    check_cap(n, CHARACTER_TABLE_CAP, cap, "character table")
+    check_cap(n, CHARACTER_TABLE_CAP, "character table")
     return _character_table(n)
 
 

@@ -18,7 +18,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .caps import TIME_POINTS_CAP
+from .caps import TABLE_CAP, check_cap, check_time_points
 from .characters import character_table
 from .errors import ResourceLimitError, SymwalkError
 from .limiting import (
@@ -34,8 +34,11 @@ from .walk_spectrum import (
     class_amplitude,
     class_distribution,
     classical_class_distribution,
+    eigenvalue_float,
     spectrum,
 )
+
+DECIMAL_DIGITS = 20  # significant digits of the ``decimal`` field of ``table`` rows
 
 
 class UsageError(SymwalkError):
@@ -71,13 +74,6 @@ def _parse_time(text: str) -> float:
     return t
 
 
-def _check_time_points(count: int, what: str) -> None:
-    if count > TIME_POINTS_CAP:
-        raise ResourceLimitError(
-            f"{what} of {count} exceeds the cap of {TIME_POINTS_CAP} time points"
-        )
-
-
 def exact_str(value: Fraction) -> str:
     try:
         return str(Fraction(value))
@@ -85,9 +81,9 @@ def exact_str(value: Fraction) -> str:
         raise ResourceLimitError("exact value has too many digits to print") from None
 
 
-def decimal_str(value: Fraction, digits: int = 20) -> str:
+def decimal_str(value: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -95,7 +91,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="symwalk", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, generator=False, start=False, fmt=True):
+    def add_common(p, *, generator=False, start=False, fmt=False):
         p.add_argument("--n", type=int, required=True, help="size of the symmetric group")
         if generator:
             p.add_argument("--generator", action="append", default=[],
@@ -110,18 +106,17 @@ def build_parser() -> _Parser:
         p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("characters", help="character table of S_n")
-    add_common(p)
+    add_common(p, fmt=True)
 
     p = sub.add_parser("spectrum", help="exact walk eigenvalues per irrep")
-    add_common(p, generator=True)
+    add_common(p, generator=True, fmt=True)
 
-    p = sub.add_parser("amplitude", help="class-to-class amplitude at time t")
-    add_common(p, generator=True, start=True, fmt=False)
+    p = sub.add_parser("amplitude", help="class-to-class amplitude at time t (JSON)")
+    add_common(p, generator=True, start=True)
     p.add_argument("--target", required=True, help="target class")
     p.add_argument("--t", type=_parse_time, required=True, help="time in radians")
-    p.add_argument("--format", choices=("json",), default="json")
 
-    p = sub.add_parser("distribution", help="class distribution at time t or over a grid")
+    p = sub.add_parser("distribution", help="class distribution: JSON at one t, CSV over a grid")
     add_common(p, generator=True, start=True)
     p.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
     p.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
@@ -130,33 +125,27 @@ def build_parser() -> _Parser:
     p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")
-    add_common(p, generator=True, start=True, fmt=False)
+    add_common(p, generator=True, start=True)
     p.add_argument("--average", default=None, metavar="T,SAMPLES",
                    help="also report a numeric time average for cross-checking")
 
     p = sub.add_parser("table", help="closed-form n-cycle limiting probabilities, all p")
-    add_common(p, fmt=False)
+    add_common(p)
 
     p = sub.add_parser("verify", help="oracle-vs-spectral and closed-form-vs-recursion suite")
-    p.add_argument("--n", type=int, required=True)
+    add_common(p)
     p.add_argument("--t-samples", type=int, default=16)
-    p.add_argument("--oracle-cap", type=int, default=None,
-                   help="explicit cap override (needed for n=7)")
     p.add_argument("--detailed", action="store_true",
                    help="include per (t, class) error rows")
-    p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("oracle", help="dense Cayley-graph oracle")
-    p.add_argument("--n", type=int, required=True)
+    add_common(p, start=True)
     p.add_argument("--generator", action="append", default=[], help="generator class")
     p.add_argument("--dump-adjacency", action="store_true",
                    help="emit the edge list as CSV perm_g,perm_h")
     p.add_argument("--t", type=_parse_time, default=None,
                    help="evolve and report per-class sums")
     p.add_argument("--classical", action="store_true")
-    p.add_argument("--start", default=None)
-    p.add_argument("--oracle-cap", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
 
     return parser
 
@@ -168,6 +157,7 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError("--n must be nonnegative")
     if getattr(args, "t_samples", 1) < 1:
         raise UsageError("--t-samples must be at least 1")
+    check_time_points(getattr(args, "t_samples", 0), "--t-samples")
 
     raw_gens = getattr(args, "generator", [])
     raw_weights = getattr(args, "weight", [])
@@ -204,7 +194,7 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError("--t-grid ends and span must be finite")
         if steps < 1:
             raise UsageError("--t-grid needs at least one step")
-        _check_time_points(steps, "--t-grid")
+        check_time_points(steps, "--t-grid")
         args.t_grid = (lo, hi, steps)
 
     if getattr(args, "average", None) is not None:
@@ -213,7 +203,7 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
             horizon, samples = _parse_time(horizon), int(samples)
         except ValueError:
             raise UsageError("--average must be T,SAMPLES") from None
-        _check_time_points(samples, "--average")
+        check_time_points(samples, "--average")
         args.average = (horizon, samples)
     return args
 
@@ -275,7 +265,7 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> int:
                 "rep": list(rec.rep.parts),
                 "dim": str(rec.dim),
                 "exact": exact_str(rec.eigenvalue),
-                "value": float(rec.eigenvalue),
+                "value": eigenvalue_float(rec.eigenvalue),
             }
             for rec in spec.records
         ],
@@ -391,6 +381,7 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
 def _cmd_table(cfg: argparse.Namespace) -> int:
     if cfg.n < 2:
         raise UsageError("table needs n >= 2")
+    check_cap(cfg.n, TABLE_CAP, "n-cycle table")
     lines = []
     for p in range(2, cfg.n + 1):
         row, value = table_ncycle_case(cfg.n, p)
@@ -408,8 +399,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     from .verify import run_suite  # loads numpy, which the exact commands never need
 
-    results = run_suite(cfg.n, t_samples=cfg.t_samples, oracle_cap=cfg.oracle_cap,
-                        detailed=cfg.detailed)
+    results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
     checks = []
     for res in results:
         entry = {"name": res.name, "passed": res.passed}
@@ -437,7 +427,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
     if len(cfg.generators) != 1:
         raise UsageError("oracle needs exactly one --generator")
     gamma = cfg.generators[0][0]
-    walk = oracle_mod.build_cayley(cfg.n, gamma, cap=cfg.oracle_cap)
+    walk = oracle_mod.build_cayley(cfg.n, gamma)
     if cfg.dump_adjacency:
         lines = ["perm_g,perm_h"]
         for g, h in walk.edges():
@@ -446,30 +436,28 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         return 0
     if cfg.t is None:
         raise UsageError("oracle needs --dump-adjacency or --t")
-    start = cfg.start
     if cfg.classical:
-        sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, start, cfg.t))
-        deviation = None
+        sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, cfg.start, cfg.t))
     else:
-        agg = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, start, cfg.t))
-        sums, deviation = agg.sums, agg.max_class_deviation
+        agg = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, cfg.start, cfg.t))
+        sums = agg.sums
     payload = {
         "n": cfg.n,
         "generator": list(gamma.parts),
         "t": cfg.t,
-        "start": list(start.parts),
+        "start": list(cfg.start.parts),
         "classical": cfg.classical,
         "classes": [
             {
                 "partition": list(lam.parts),
                 "class_size": str(class_size(lam)),
-                "probability": sums.get(lam, 0.0),
+                "probability": sums[lam],
             }
-            for lam in character_table(cfg.n).classes
+            for lam in walk.classes
         ],
     }
-    if deviation is not None:
-        payload["max_class_deviation"] = deviation
+    if not cfg.classical:
+        payload["max_class_deviation"] = agg.max_class_deviation
     _emit(cfg, _json(payload))
     return 0
 

@@ -75,13 +75,13 @@ class DenseWalk:
         return [(self.vertices[i], self.vertices[j]) for i, j in zip(rows, cols)]
 
 
-def build_cayley(n: int, gamma: Partition, cap: int | None = None) -> DenseWalk:
+def build_cayley(n: int, gamma: Partition) -> DenseWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
-    Default cap is n <= 6 (720 vertices); n = 7 only via an explicit cap
-    override since its eigensystem peaks near 1.0 GB of RSS.
+    Default cap is n <= 6 (720 vertices); n = 7 only with SYMWALK_MAX_N=7,
+    since its eigensystem peaks near 1.0 GB of RSS.
     """
-    check_cap(n, ORACLE_CAP, cap, "dense Cayley graph")
+    check_cap(n, ORACLE_CAP, "dense Cayley graph")
     if gamma.n != n:
         raise DomainError(f"generator {gamma} is not a partition of {n}")
     if gamma == identity_partition(n):
@@ -128,6 +128,8 @@ def _start_state(walk: DenseWalk, start: StartState, quantum: bool) -> np.ndarra
 
 def evolve_quantum(walk: DenseWalk, start: StartState, t: float) -> np.ndarray:
     """e^{itA} applied to the start state, via the cached eigensystem."""
+    if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
+        raise DomainError(f"time {t!r} overflows the phase t*lambda")
     evals, evecs = walk.eigensystem()
     psi = _start_state(walk, start, quantum=True)
     return evecs @ (np.exp(1j * t * evals) * (evecs.T @ psi))
@@ -138,8 +140,13 @@ def evolve_classical(walk: DenseWalk, start: StartState, t: float) -> np.ndarray
     if t < 0:
         raise DomainError("classical walk time must be nonnegative")
     evals, evecs = walk.eigensystem()
+    gaps = walk.degree - evals
+    # Stationary modes, as in the Cesaro limit: e^{-t gap} would amplify their eigh rounding.
+    gaps[np.abs(gaps) <= CLUSTER_TOL] = 0.0
     p0 = _start_state(walk, start, quantum=False)
-    out = evecs @ (np.exp(-t * (walk.degree - evals)) * (evecs.T @ p0))
+    with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
+        decay = np.exp(-t * gaps)
+    out = evecs @ (decay * (evecs.T @ p0))
     return np.maximum(out.real, 0.0)
 
 

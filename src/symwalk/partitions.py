@@ -92,7 +92,7 @@ def hook(n: int, k: int) -> Partition:
     return Partition((k,) + (1,) * (n - k))
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in lexicographic descending order.
 
     List length is p(n); n above the cap (default 30) is rejected as a
@@ -100,7 +100,7 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
     """
     if n < 0:
         raise InvalidPartitionError("n must be nonnegative")
-    check_cap(n, PARTITION_CAP, cap, "partition enumeration")
+    check_cap(n, PARTITION_CAP, "partition enumeration")
     return [Partition(parts) for parts in _partition_tuples(n)]
 
 

@@ -38,6 +38,11 @@ from .walk_spectrum import (
 
 # Largest error an oracle check passes with.
 ORACLE_TOL = 1e-9
+# Times at which the classical walk is compared with the oracle.
+CLASSICAL_TIMES = (0.1, 0.5, 2.0)
+# Samples over one period, and the largest error, of the sine closed form.
+SINE_SAMPLES = 64
+SINE_TOL = 1e-10
 
 
 @dataclass
@@ -64,7 +69,7 @@ def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, time
     for t in times:
         dense = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t))
         for lam, p in class_distribution(spec, ident, t).probs.items():
-            err = abs(p - dense.sums.get(lam, 0.0))
+            err = abs(p - dense.sums[lam])
             worst = max(worst, err)
             if rows is not None:
                 rows.append(
@@ -74,16 +79,15 @@ def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, time
     return worst
 
 
-def check_classical_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum,
-                              times=(0.1, 0.5, 2.0)) -> float:
+def check_classical_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> float:
     """Worst gap between the spectral classical engine and dense e^{-tL}
     on one graph, identity start."""
     ident = identity_partition(walk.n)
     worst = 0.0
-    for t in times:
+    for t in CLASSICAL_TIMES:
         dense = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, ident, t))
         for lam, p in classical_class_distribution(spec, ident, t).probs.items():
-            worst = max(worst, abs(p - dense.get(lam, 0.0)))
+            worst = max(worst, abs(p - dense[lam]))
     return worst
 
 
@@ -93,7 +97,7 @@ def check_limiting_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> 
     ident = identity_partition(walk.n)
     dense = oracle_mod.limiting_distribution(walk, ident)
     exact = limiting_class_distribution(spec, ident)
-    return max(abs(float(p) - dense.get(lam, 0.0)) for lam, p in exact.probs.items())
+    return max(abs(float(p) - dense[lam]) for lam, p in exact.probs.items())
 
 
 def check_transposition_closed_form(n: int) -> CheckResult:
@@ -146,19 +150,19 @@ def check_eigenvalue_integrality(n: int) -> CheckResult:
     return CheckResult(name="eigenvalue_integrality", passed=True)
 
 
-def check_sine_closed_form(n: int, t_samples: int = 64, tol: float = 1e-10) -> CheckResult:
+def check_sine_closed_form(n: int) -> CheckResult:
     """(2i sin(tn/2))^(n-1)/sqrt(n*n!) against the full spectral sum."""
     spec = spectrum(n, ClassFunction.transpositions(n))
     ident = identity_partition(n)
     ncycle = Partition((n,))
     worst = 0.0
-    for j in range(t_samples):
-        t = 2 * math.pi * j / t_samples
+    for j in range(SINE_SAMPLES):
+        t = 2 * math.pi * j / SINE_SAMPLES
         worst = max(
             worst,
             abs(class_amplitude(spec, ncycle, ident, t) - ncycle_amplitude_closed_form(n, t)),
         )
-    return CheckResult(name="sine_closed_form", passed=worst <= tol, max_abs_error=worst)
+    return CheckResult(name="sine_closed_form", passed=worst <= SINE_TOL, max_abs_error=worst)
 
 
 def check_limiting_table(n: int) -> CheckResult:
@@ -183,8 +187,7 @@ def check_dimension_agreement(n: int) -> CheckResult:
     return CheckResult(name="dimension_agreement", passed=ok)
 
 
-def run_suite(n: int, t_samples: int = 16, oracle_cap: int | None = None,
-              detailed: bool = False) -> list[CheckResult]:
+def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[CheckResult]:
     """The full battery for one n.
 
     The three oracle checks share one dense graph and eigensystem per
@@ -197,7 +200,7 @@ def run_suite(n: int, t_samples: int = 16, oracle_cap: int | None = None,
     rows = [] if detailed else None
     errors = []
     for gamma in generator_classes(n):
-        walk = oracle_mod.build_cayley(n, gamma, cap=oracle_cap)
+        walk = oracle_mod.build_cayley(n, gamma)
         spec = spectrum(n, ClassFunction.indicator(gamma))
         errors.append((check_quantum_vs_oracle(walk, spec, times, rows),
                        check_classical_vs_oracle(walk, spec),

@@ -87,6 +87,14 @@ class ClassFunction:
         return f"ClassFunction(n={self.n}, {{{body}}})"
 
 
+def eigenvalue_float(value: Fraction) -> float:
+    """An exact eigenvalue or gap as a float; past the float range a DomainError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("eigenvalue too large for a float; only exact output is available") from None
+
+
 @dataclass(frozen=True)
 class EigenRecord:
     rep: Partition
@@ -127,7 +135,7 @@ class WalkSpectrum:
         return self._kernels[mu]
 
 
-def spectrum(n: int, f: ClassFunction, cap: int | None = None) -> WalkSpectrum:
+def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
     """Diagonalize the walk operator for generator weighting f.
 
     For a single-class indicator every eigenvalue must come out an exact
@@ -136,7 +144,7 @@ def spectrum(n: int, f: ClassFunction, cap: int | None = None) -> WalkSpectrum:
     """
     if f.n != n:
         raise DomainError(f"class function is on n={f.n}, not {n}")
-    table = character_table(n, cap=cap)
+    table = character_table(n)
     single = f.is_single_class_indicator()
     records = []
     for nu in table.reps:
@@ -219,8 +227,9 @@ class WalkKernel:
                 math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
             ]),
             weights=np.array([s / nfact for s in sizes]),
-            energies=np.array([float(ev) for ev in self.energies]),
-            neg_gaps=np.array([float(ev - spec.f.degree()) for ev in self.energies]),  # -(d - E_G)
+            energies=np.array([eigenvalue_float(ev) for ev in self.energies]),
+            neg_gaps=np.array([eigenvalue_float(ev - spec.f.degree())  # -(d - E_G)
+                               for ev in self.energies]),
         )
 
     def amplitudes(self, t: float):
@@ -270,9 +279,6 @@ def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) ->
     Started from the uniform distribution on C_mu.  Only 0/1 generator
     weightings give a genuine Laplacian.
     """
-    for w in spec.f.weights.values():
-        if w < 0:
-            raise DomainError("negative generator weights do not give a stochastic process")
     if not spec.f.is_zero_one():
         raise DomainError("classical walk requires a 0/1 generator indicator")
     return ClassDistribution.of(spec, t, spec.kernel(mu).classical_probabilities(t))

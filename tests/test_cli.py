@@ -50,7 +50,7 @@ def test_distribution_single_time(capsys):
 def test_distribution_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "distribution", "--n", "3", "--generator", "2,1",
-        "--t-grid", "0,6.283185307179586,8", "--format", "csv",
+        "--t-grid", "0,6.283185307179586,8",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -295,3 +295,65 @@ def test_exact_commands_do_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_symwalk_max_n_overrides_the_oracle_cap(capsys, monkeypatch):
+    monkeypatch.setenv("SYMWALK_MAX_N", "3")
+    _assert_json_error(*run_cli(capsys, "oracle", "--n", "4", "--generator", "2,1,1",
+                                "--dump-adjacency"), 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "3", "--oracle-cap", "5"),
+    ("oracle", "--n", "3", "--generator", "2,1", "--dump-adjacency", "--oracle-cap", "5"),
+    ("distribution", "--n", "3", "--generator", "2,1", "--t", "0.5", "--format", "csv"),
+    ("amplitude", "--n", "3", "--generator", "2,1", "--target", "3", "--t", "0.5",
+     "--format", "json"),
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "3", "--generator", "2,1", "--weight", "1e400"),
+    ("distribution", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--t", "1"),
+    ("amplitude", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--target", "3",
+     "--t", "1"),
+    ("limit", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--average", "6.3,8"),
+    ("oracle", "--n", "3", "--generator", "2,1", "--t", "1e308"),
+])
+def test_values_past_the_float_range_are_refused(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--n", "3", "--generator", "2,1", "--weight", "1e400"),
+    ("spectrum", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--format", "csv"),
+])
+def test_exact_output_survives_huge_weights(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and "0" * 400 in out
+
+
+def test_oracle_classical_at_large_time_is_finite(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "4", "--generator", "3,1", "--t", "1e300",
+                           "--classical")
+    payload = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+    assert code == 0
+    assert abs(sum(c["probability"] for c in payload["classes"]) - 1) < 1e-12
+
+
+def test_table_is_capped_before_any_row(capsys, monkeypatch):
+    from symwalk.caps import TABLE_CAP
+
+    _assert_json_error(*run_cli(capsys, "table", "--n", str(TABLE_CAP + 1)), 3)
+    _assert_json_error(*run_cli(capsys, "table", "--n", "2000000"), 3)
+    monkeypatch.setenv("SYMWALK_MAX_N", "5")
+    _assert_json_error(*run_cli(capsys, "table", "--n", "6"), 3)
+
+
+def test_verify_time_samples_are_capped(capsys):
+    from symwalk.caps import TIME_POINTS_CAP
+
+    _assert_json_error(*run_cli(capsys, "verify", "--n", "3", "--t-samples",
+                                str(TIME_POINTS_CAP + 1)), 3)

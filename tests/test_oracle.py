@@ -221,6 +221,30 @@ def test_classical_matches_spectral_engine():
             assert abs(p - dense[lam]) < 1e-9
 
 
+@pytest.mark.parametrize("n", (4, 5))
+def test_classical_keeps_its_mass_at_large_times(n):
+    """Stationary gaps count as exactly 0, so e^{-t gap} cannot amplify
+    their eigh rounding (the mass used to reach 2.04 at n = 5, t = 1e14)."""
+    from symwalk.walk_spectrum import classical_class_distribution
+
+    ident = identity_partition(n)
+    for gamma in generator_classes(n):
+        walk = build_cayley(n, gamma)
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        for t in (1e10, 1e14, 1e17, 1e300, 1e308):
+            dense = class_sums(walk, evolve_classical(walk, ident, t))
+            assert abs(sum(dense.values()) - 1) < 1e-12
+            for lam, p in classical_class_distribution(spec, ident, t).probs.items():
+                assert abs(p - dense[lam]) < 1e-9
+
+
+def test_quantum_refuses_an_overflowing_phase():
+    walk = build_cayley(3, Partition((2, 1)))
+    evolve_quantum(walk, identity_partition(3), 1e307)
+    with pytest.raises(DomainError):
+        evolve_quantum(walk, identity_partition(3), 1e308)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_quantum_matches_spectral_engine_all_generators(n):
     from symwalk.walk_spectrum import class_distribution

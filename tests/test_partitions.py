@@ -73,10 +73,11 @@ def test_invalid_partitions_rejected():
         Partition.parse("2,x")
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         enumerate_partitions(31)
-    assert len(enumerate_partitions(31, cap=31)) == partition_count(31)
+    monkeypatch.setenv("SYMWALK_MAX_N", "31")
+    assert len(enumerate_partitions(31)) == partition_count(31)
 
 
 def test_class_size_examples():
