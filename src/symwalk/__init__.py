@@ -18,7 +18,6 @@ from .errors import (
 )
 from .limiting import (
     EigenGroups,
-    ExactDistribution,
     eigenvalue_groups,
     limiting_class_distribution,
     table_ncycle_probability,

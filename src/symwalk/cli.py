@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -59,6 +60,13 @@ def _parse_partition(text: str, n: int, what: str) -> Partition:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
+        # Fraction("1e3000000") builds 10**3000000 before anything can cap
+        # it.  A number spelled out in more digits than Python's int-to-str
+        # limit already fails to parse; its exponent spelling fails here.
+        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) >= limit:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse rational weight {text!r}") from None
@@ -118,10 +126,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distribution", help="class distribution: JSON at one t, CSV over a grid")
     add_common(p, generator=True, start=True)
-    p.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
-    p.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
-                   help="sweep; emits CSV rows t,class,probability; a bare "
-                        "STEPS count sweeps the full period [0, 2*pi]")
+    when = p.add_mutually_exclusive_group(required=True)
+    when.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
+    when.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
+                      help="sweep; emits CSV rows t,class,probability; a bare "
+                           "STEPS count sweeps the full period [0, 2*pi]")
     p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")
@@ -141,10 +150,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="dense Cayley-graph oracle")
     add_common(p, start=True)
     p.add_argument("--generator", action="append", default=[], help="generator class")
-    p.add_argument("--dump-adjacency", action="store_true",
-                   help="emit the edge list as CSV perm_g,perm_h")
-    p.add_argument("--t", type=_parse_time, default=None,
-                   help="evolve and report per-class sums")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--dump-adjacency", action="store_true",
+                      help="emit the edge list as CSV perm_g,perm_h")
+    what.add_argument("--t", type=_parse_time, default=None,
+                      help="evolve and report per-class sums")
     p.add_argument("--classical", action="store_true")
 
     return parser
@@ -322,8 +332,6 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
                 lines.append(f"{t!r},{label},{p!r}")
         _emit(cfg, "\n".join(lines) + "\n")
         return 0
-    if cfg.t is None:
-        raise UsageError("distribution needs --t or --t-grid")
     dist = engine(spec, cfg.start, cfg.t)
     _emit(cfg, _json(_distribution_json(cfg, dist)))
     return 0
@@ -434,8 +442,6 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
             lines.append(f"\"{' '.join(map(str, g))}\",\"{' '.join(map(str, h))}\"")
         _emit(cfg, "\n".join(lines) + "\n")
         return 0
-    if cfg.t is None:
-        raise UsageError("oracle needs --dump-adjacency or --t")
     if cfg.classical:
         sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, cfg.start, cfg.t))
     else:

@@ -50,33 +50,15 @@ def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
     return EigenGroups(n=spec.n, f=spec.f, groups=groups)
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Exact rational class probabilities of the limiting distribution."""
-
-    n: int
-    probs: dict[Partition, Fraction]
-    per_element: dict[Partition, Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
-
-
-def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ExactDistribution:
+def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistribution:
     """Exact time average of the class distribution started from c_mu."""
-    kernel = spec.kernel(mu)
-    nfact = factorial(spec.n)
-    cmu = spec.class_sizes[mu]
-    probs = {}
-    per_element = {}
-    for lam, acc in zip(spec.table.classes, kernel.limiting_sums()):
-        per = Fraction(cmu * acc, nfact * nfact)
-        per_element[lam] = per
-        probs[lam] = per * spec.class_sizes[lam]
+    scale = Fraction(spec.class_sizes[mu], factorial(spec.n) ** 2)
+    probs = {lam: scale * acc * spec.class_sizes[lam]
+             for lam, acc in zip(spec.table.classes, spec.kernel(mu).limiting_sums())}
     total = sum(probs.values(), Fraction(0))
     if total != 1:
         raise ConsistencyError(f"limiting distribution sums to {total}, not 1")
-    return ExactDistribution(n=spec.n, probs=probs, per_element=per_element)
+    return ClassDistribution(n=spec.n, probs=probs)
 
 
 _TableRow = tuple[str, Fraction]
@@ -128,7 +110,7 @@ def table_ncycle_probability(n: int, p: int) -> Fraction:
 Support = Literal["symmetric_group", "alternating_group"]
 
 
-def tv_distance(dist: ExactDistribution, support: Support = "symmetric_group") -> Fraction:
+def tv_distance(dist: ClassDistribution, support: Support = "symmetric_group") -> Fraction:
     """Exact total variation distance from uniform on the given support.
 
     Both distributions are constant on classes, so the half-L1 sum runs

@@ -2,11 +2,14 @@
 
 Vertices are the permutations of {1..n} in lexicographic one-line order;
 {g, h} is an edge iff the cycle type of g h^{-1} equals the generator
-class.  The graph is built from index arrays: s o g for every vertex g
-at once is ``s[perms - 1]``, ranked by a lexicographic code.  The dense
-real-symmetric adjacency matrix is eigendecomposed once (lazily) and the
-factorization is reused across every evolution time, both quantum
-e^{itA} and classical e^{-tL}, and by the Cesaro limit.
+class.  Every walk starts uniform on a conjugacy class: the graph is
+vertex-transitive, so a walk from one permutation g is the walk from
+the identity relabelled by g.  The graph is built from index arrays:
+s o g for every vertex g at once is ``s[perms - 1]``, ranked by a
+lexicographic code.  The dense real-symmetric adjacency matrix is
+eigendecomposed once (lazily) and the factorization is reused across
+every evolution time, both quantum e^{itA} and classical e^{-tL}, and
+by the Cesaro limit.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
@@ -16,16 +19,13 @@ delegated to the character and limiting modules.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .caps import ORACLE_CAP, check_cap
-from .errors import DegenerateGeneratorError, DomainError, InvalidPermutationError
+from .errors import DegenerateGeneratorError, DomainError
 from .partitions import Partition, class_size, cycle_type, enumerate_partitions, identity_partition
-
-StartState = Partition | tuple | list | np.ndarray
 
 # Eigenvalues of the Cesaro limit closer than this form one cluster; the
 # true spectrum is integral for single-class generators.
@@ -52,22 +52,12 @@ class DenseWalk:
     def degree(self) -> int:
         return class_size(self.generator)
 
-    def vertex_index(self, perm: tuple[int, ...]) -> int:
-        """Lex position of a permutation given in one-line notation."""
-        i = bisect_left(self.vertices, tuple(perm))
-        if i == len(self.vertices) or self.vertices[i] != tuple(perm):
-            raise InvalidPermutationError(f"{perm!r} is not a permutation of 1..{self.n}")
-        return i
-
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, orthonormal eigenvectors) of the adjacency matrix."""
         if self._eigensystem is None:
             evals, evecs = np.linalg.eigh(self.adjacency)
             self._eigensystem = (evals, evecs)
         return self._eigensystem
-
-    def class_of_vertex(self) -> list[Partition]:
-        return [self.classes[k] for k in self.class_index]
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
@@ -103,31 +93,19 @@ def build_cayley(n: int, gamma: Partition) -> DenseWalk:
                      class_index=class_index, adjacency=adjacency)
 
 
-def _start_state(walk: DenseWalk, start: StartState, quantum: bool) -> np.ndarray:
-    """Start vector: class -> uniform on the class, permutation -> basis
-    vector; unit norm for amplitudes, unit mass for probabilities."""
-    size = len(walk.vertices)
-    dtype = complex if quantum else float
-    if isinstance(start, (Partition, tuple, list)):
-        if isinstance(start, Partition):
-            if start.n != walk.n:
-                raise DomainError(f"start class {start} is not a partition of {walk.n}")
-            members = np.flatnonzero(walk.class_index == walk.classes.index(start))
-        else:
-            members = [walk.vertex_index(start)]
-        vec = np.zeros(size, dtype=dtype)
-        vec[members] = 1.0 / (np.sqrt(len(members)) if quantum else len(members))
-        return vec
-    vec = np.asarray(start, dtype=dtype)
-    if vec.shape != (size,):
-        raise DomainError(f"state must have {size} entries")
-    if not quantum and (vec.min() < 0 or abs(vec.sum() - 1) > 1e-9):
-        raise DomainError("start must be a probability vector")
+def _start_state(walk: DenseWalk, start: Partition, quantum: bool) -> np.ndarray:
+    """Start vector uniform on a class: unit norm for amplitudes, unit
+    mass for probabilities."""
+    if start.n != walk.n:
+        raise DomainError(f"start class {start} is not a partition of {walk.n}")
+    members = np.flatnonzero(walk.class_index == walk.classes.index(start))
+    vec = np.zeros(len(walk.vertices), dtype=complex if quantum else float)
+    vec[members] = 1.0 / (np.sqrt(len(members)) if quantum else len(members))
     return vec
 
 
-def evolve_quantum(walk: DenseWalk, start: StartState, t: float) -> np.ndarray:
-    """e^{itA} applied to the start state, via the cached eigensystem."""
+def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
+    """e^{itA} applied to the start class state, via the cached eigensystem."""
     if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
         raise DomainError(f"time {t!r} overflows the phase t*lambda")
     evals, evecs = walk.eigensystem()
@@ -135,7 +113,7 @@ def evolve_quantum(walk: DenseWalk, start: StartState, t: float) -> np.ndarray:
     return evecs @ (np.exp(1j * t * evals) * (evecs.T @ psi))
 
 
-def evolve_classical(walk: DenseWalk, start: StartState, t: float) -> np.ndarray:
+def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     """e^{-tL} applied to the start distribution, L = dI - A."""
     if t < 0:
         raise DomainError("classical walk time must be nonnegative")
@@ -160,8 +138,8 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
     """Per-class |amplitude|^2 sums plus a class-constancy report.
 
     The deviation is the largest |a_g - mean of a over g's class|; for
-    class-uniform starts it should sit at rounding noise (the amplitude
-    profile is a class function), for arbitrary starts it is merely
+    a walk from a class it should sit at rounding noise (the amplitude
+    profile is a class function), for any other vector it is merely
     informational.
     """
     vec = np.asarray(vec)
@@ -180,7 +158,7 @@ def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
     return dict(zip(walk.classes, totals.tolist()))
 
 
-def limiting_distribution(walk: DenseWalk, start: StartState) -> dict[Partition, float]:
+def limiting_distribution(walk: DenseWalk, start: Partition) -> dict[Partition, float]:
     """Cesaro time average per class from the dense eigensystem.
 
     Averaging kills cross terms between distinct eigenvalues, so the

@@ -51,12 +51,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
 
@@ -115,11 +109,6 @@ def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n))
-
-
-def partition_index(lam: Partition) -> int:
-    """Position of lam in the canonical order of partitions of its n."""
-    return _partition_tuples(lam.n).index(lam.parts)
 
 
 def centralizer_order(lam: Partition) -> int:

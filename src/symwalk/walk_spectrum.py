@@ -69,9 +69,6 @@ class ClassFunction:
             raise DomainError("transpositions need n >= 2")
         return cls.indicator(Partition((2,) + (1,) * (n - 2)))
 
-    def __call__(self, lam: Partition) -> Fraction:
-        return self.weights.get(lam, Fraction(0))
-
     def is_single_class_indicator(self) -> bool:
         return len(self.weights) == 1 and next(iter(self.weights.values())) == 1
 
@@ -125,9 +122,6 @@ class WalkSpectrum:
             groups.setdefault(rec.eigenvalue, []).append(i)
         return sorted(groups.items(), key=lambda kv: kv[1][0])
 
-    def eigenvalue(self, nu: Partition) -> Fraction:
-        return self.records[self.table.index(nu)].eigenvalue
-
     def kernel(self, mu: Partition) -> "WalkKernel":
         """The phase kernel from start class mu, built once per start."""
         if mu not in self._kernels:
@@ -163,22 +157,22 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
 
 @dataclass(frozen=True)
 class ClassDistribution:
-    """Probability per conjugacy class after walking for time t."""
+    """Probability per conjugacy class: floats after walking for time t,
+    or exact rationals of the limiting distribution (t None)."""
 
     n: int
-    t: float
-    probs: dict[Partition, float]
-    per_element: dict[Partition, float]
+    probs: dict[Partition, float | Fraction]
+    t: float | None = None
 
-    def total(self) -> float:
-        return sum(self.probs.values())
+    @cached_property
+    def per_element(self) -> dict[Partition, float | Fraction]:
+        """Probability of each single permutation of a class."""
+        return {lam: p / class_size(lam) for lam, p in self.probs.items()}
 
     @classmethod
     def of(cls, spec: WalkSpectrum, t: float, probs) -> "ClassDistribution":
         """Wrap an array of class probabilities in canonical class order."""
-        values = dict(zip(spec.table.classes, probs.tolist()))
-        per_element = {lam: p / spec.class_sizes[lam] for lam, p in values.items()}
-        return cls(n=spec.n, t=t, probs=values, per_element=per_element)
+        return cls(n=spec.n, probs=dict(zip(spec.table.classes, probs.tolist())), t=t)
 
 
 class WalkKernel:

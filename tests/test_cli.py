@@ -335,6 +335,33 @@ def test_exact_output_survives_huge_weights(capsys, argv):
     assert code == 0 and err == "" and "0" * 400 in out
 
 
+@pytest.mark.parametrize("weight", ["1e100000000", "1e-5000", "1e4300"])
+def test_weight_exponents_past_the_digit_limit_are_refused(capsys, weight):
+    # Fraction would build 10**exponent before any cap: 2.1 s for 1e3000000.
+    from time import perf_counter
+
+    start = perf_counter()
+    _assert_json_error(*run_cli(capsys, "limit", "--n", "3", "--generator", "2,1",
+                                "--weight", weight), 1)
+    assert perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--n", "3", "--generator", "2,1", "--t", "0.5", "--t-grid", "2"),
+    ("oracle", "--n", "3", "--generator", "2,1", "--t", "0.5", "--dump-adjacency"),
+])
+def test_conflicting_flags_are_usage_errors(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--n", "3", "--generator", "2,1"),
+    ("oracle", "--n", "3", "--generator", "2,1"),
+])
+def test_missing_time_is_a_usage_error(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
 def test_oracle_classical_at_large_time_is_finite(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "4", "--generator", "3,1", "--t", "1e300",
                            "--classical")

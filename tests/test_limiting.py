@@ -48,11 +48,12 @@ def test_groups_cover_and_are_disjoint():
     for gamma in generator_classes(5):
         spec = spectrum(5, ClassFunction.indicator(gamma))
         groups = eigenvalue_groups(spec)
+        eigenvalue = {r.rep: r.eigenvalue for r in spec.records}
         seen = [nu for g in groups.groups for nu in g]
         assert sorted(p.parts for p in seen) == sorted(p.parts for p in enumerate_partitions(5))
         assert len(seen) == len(set(seen))
         for g in groups.groups:
-            evs = {spec.eigenvalue(nu) for nu in g}
+            evs = {eigenvalue[nu] for nu in g}
             assert len(evs) == 1
 
 
@@ -76,7 +77,7 @@ def test_limiting_s3_transpositions():
     exact = limiting_class_distribution(spec, identity_partition(3))
     assert exact.per_element[Partition((3,))] == Fraction(comb(4, 2), 36)
     assert exact.per_element[Partition((3,))] == Fraction(1, 6)
-    assert exact.total() == 1
+    assert sum(exact.probs.values()) == 1
 
 
 def test_limiting_s3_full_cycle_generator():
@@ -90,7 +91,7 @@ def test_limiting_totals_exact(n):
     for gamma in generator_classes(n):
         spec = spectrum(n, ClassFunction.indicator(gamma))
         exact = limiting_class_distribution(spec, identity_partition(n))
-        assert exact.total() == 1
+        assert sum(exact.probs.values()) == 1
         for lam, per in exact.per_element.items():
             assert per * class_size(lam) == exact.probs[lam]
             assert 0 <= exact.probs[lam] <= 1
@@ -99,7 +100,7 @@ def test_limiting_totals_exact(n):
 def test_limiting_from_non_identity_start():
     spec = spectrum(4, ClassFunction.transpositions(4))
     exact = limiting_class_distribution(spec, Partition((2, 2)))
-    assert exact.total() == 1
+    assert sum(exact.probs.values()) == 1
 
 
 def test_table_p2_and_zero_rows():
@@ -169,13 +170,13 @@ def test_hook_ratio_monotonicity_claims(n):
 
 
 def test_tv_uniform_is_zero():
-    # the classical stationary distribution, fed through the exact type
-    from symwalk.limiting import ExactDistribution
+    # the classical stationary distribution, as exact rationals
+    from symwalk.walk_spectrum import ClassDistribution
 
     n = 4
     probs = {lam: Fraction(class_size(lam), factorial(n)) for lam in enumerate_partitions(n)}
-    per = {lam: Fraction(1, factorial(n)) for lam in enumerate_partitions(n)}
-    dist = ExactDistribution(n=n, probs=probs, per_element=per)
+    dist = ClassDistribution(n=n, probs=probs)
+    assert set(dist.per_element.values()) == {Fraction(1, factorial(n))}
     assert tv_distance(dist, "symmetric_group") == 0
 
 

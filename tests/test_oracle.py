@@ -7,7 +7,6 @@ import pytest
 from symwalk.errors import (
     DegenerateGeneratorError,
     DomainError,
-    InvalidPermutationError,
     ResourceLimitError,
 )
 from symwalk.oracle import (
@@ -40,7 +39,7 @@ def test_n3_transpositions_is_bipartite_cubic():
     assert len(walk.vertices) == 6
     assert (walk.adjacency.sum(axis=0) == 3).all()
     # K_{3,3}: edges only between even and odd permutations
-    parity = [is_even_class(c) for c in walk.class_of_vertex()]
+    parity = [is_even_class(walk.classes[k]) for k in walk.class_index]
     for i in range(6):
         for j in range(6):
             if walk.adjacency[i, j]:
@@ -51,7 +50,7 @@ def test_n3_full_cycles_are_two_triangles():
     walk = build_cayley(3, Partition((3,)))
     assert (walk.adjacency.sum(axis=0) == 2).all()
     # identity's component is the alternating group: 3 vertices
-    reach = {walk.vertex_index((1, 2, 3))}
+    reach = {0}  # the identity is the first vertex in lex order
     frontier = list(reach)
     while frontier:
         i = frontier.pop()
@@ -127,32 +126,18 @@ def test_caps():
         build_cayley(3, Partition((2, 2)))
 
 
-@pytest.mark.parametrize("start", [(1, 1, 3), (1, 2), (1, 2, 3, 4), [3, 1, 4], (0, 1, 2)])
-def test_start_that_is_not_a_permutation_is_refused(start):
-    walk = build_cayley(3, Partition((2, 1)))
-    with pytest.raises(InvalidPermutationError):
-        evolve_quantum(walk, start, 0.5)
-    with pytest.raises(InvalidPermutationError):
-        evolve_classical(walk, start, 0.5)
-
-
 def test_start_class_of_another_n_is_refused():
     walk = build_cayley(3, Partition((2, 1)))
     with pytest.raises(DomainError):
         evolve_quantum(walk, identity_partition(4), 0.5)
 
 
-def test_vertex_index_is_lex_rank():
-    walk = build_cayley(4, Partition((2, 1, 1)))
-    assert [walk.vertex_index(v) for v in walk.vertices] == list(range(factorial(4)))
-    assert walk.vertex_index([4, 3, 2, 1]) == factorial(4) - 1
-
-
 def test_evolve_t0_and_norm():
     walk = build_cayley(4, Partition((2, 1, 1)))
     ident = identity_partition(4)
     psi0 = evolve_quantum(walk, ident, 0.0)
-    assert abs(psi0[walk.vertex_index((1, 2, 3, 4))] - 1) < 1e-12
+    assert walk.vertices[0] == (1, 2, 3, 4)
+    assert abs(psi0[0] - 1) < 1e-12
     psi = evolve_quantum(walk, ident, 1.3)
     assert abs(np.linalg.norm(psi) - 1) < 1e-10
 
@@ -172,20 +157,21 @@ def test_class_constancy_from_identity():
 
 
 def test_non_class_start_reports_deviation():
+    # e^{itA} from one specific transposition, built by hand from the eigensystem
     walk = build_cayley(3, Partition((2, 1)))
-    state = np.zeros(6, dtype=complex)
-    state[walk.vertex_index((2, 1, 3))] = 1.0  # one specific transposition
-    psi = evolve_quantum(walk, state, 0.8)
+    i = walk.vertices.index((2, 1, 3))
+    evals, evecs = walk.eigensystem()
+    psi = evecs @ (np.exp(0.8j * evals) * evecs[i])
     agg = class_aggregate(walk, psi)
-    assert agg.max_class_deviation >= 0  # informational only
+    assert agg.max_class_deviation > 1e-3  # not a class function
     assert abs(sum(agg.sums.values()) - 1) < 1e-10
 
 
 def test_periodicity_observed_directly():
     walk = build_cayley(4, Partition((2, 1, 1)))
     start = np.zeros(24, dtype=complex)
-    start[5] = 1.0
-    psi = evolve_quantum(walk, start, 2 * math.pi)
+    start[0] = 1.0  # the identity class is the identity vertex
+    psi = evolve_quantum(walk, identity_partition(4), 2 * math.pi)
     assert np.max(np.abs(psi - start)) < 1e-8
 
 

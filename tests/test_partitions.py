@@ -18,7 +18,6 @@ from symwalk.partitions import (
     hook,
     identity_partition,
     is_even_class,
-    partition_index,
     transpose,
 )
 
@@ -57,11 +56,6 @@ def test_order_is_lexicographic_descending(n):
     parts = [p.parts for p in enumerate_partitions(n)]
     assert parts == sorted(parts, reverse=True)
     assert len(set(parts)) == len(parts)
-
-
-def test_partition_index_roundtrip():
-    for i, lam in enumerate(enumerate_partitions(8)):
-        assert partition_index(lam) == i
 
 
 def test_invalid_partitions_rejected():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,41 @@ def test_oracle_checks_fail_on_a_perturbed_oracle(monkeypatch, target, name, wra
 def test_suite_refuses_n_without_a_walk(n):
     with pytest.raises(DomainError):
         verify.run_suite(n)
+
+
+def _double_dimension(monkeypatch, parts):
+    from symwalk import walk_spectrum
+    from symwalk.partitions import Partition
+
+    dimension = walk_spectrum.dimension
+    monkeypatch.setattr(walk_spectrum, "dimension",
+                        lambda nu: dimension(nu) * (2 if nu == Partition(parts) else 1))
+
+
+def test_a_non_integral_eigenvalue_fails_its_check_with_a_report(monkeypatch, capsys):
+    # Doubling dim (2,2) at n = 4 makes E_(2,2) = 3/2 for the (2,2) generator
+    # only; the other three still reach the oracle, which sees (3,1)'s E_(2,2)
+    # move from -4 to -2.
+    from symwalk.cli import main
+
+    _double_dimension(monkeypatch, (2, 2))
+    builds = _counting(monkeypatch, oracle, "build_cayley")
+    results = verify.run_suite(4)
+    assert len(results) == 11 and len(builds) == 3
+    failed = {r.name for r in results if not r.passed}
+    assert "eigenvalue_integrality" in failed
+    assert failed <= {"eigenvalue_integrality", *ORACLE_CHECKS}
+    assert "3/2" in results[6].message
+    assert main(["verify", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and payload["failed"] == len(failed) and len(payload["checks"]) == 11
+
+
+def test_a_suite_without_any_spectrum_still_reports_every_check(monkeypatch):
+    # At n = 2, doubling dim (1,1) breaks the spectrum of the only generator.
+    _double_dimension(monkeypatch, (1, 1))
+    results = verify.run_suite(2)
+    assert len(results) == 11
+    assert {r.name for r in results if not r.passed} == {
+        *ORACLE_CHECKS, "eigenvalue_integrality", "sine_closed_form", "limiting_table"}
