@@ -1,14 +1,15 @@
-"""Exact irreducible characters of S_n via the Murnaghan-Nakayama rule.
+"""Exact irreducible characters of S_n on the abacus.
 
-The recursion removes a border strip of length equal to the largest
-remaining cycle part; a strip's height is the number of rows it spans
-minus one.  Strip removal is done on first-column hook lengths (beta
-numbers): removing a strip of length r moves one beta number b to b - r,
-and the height is the number of beta numbers strictly between the two.
+chi_nu(lam) is the coefficient of s_nu in the power sum p_lam = p_lam1
+p_lam2 ... (Macdonald, Symmetric Functions and Hall Polynomials, ch. I).
+A partition of n is a bitmask of its n beta numbers (the James-Kerber
+abacus), and multiplying by p_r moves one bead b to a free b + r, with
+the sign of the number of beads it passes.  Folding lam's parts yields
+a whole column; no expansion outlives the call that made it.
 
 Closed forms from representation theory (hook dimensions, Ingram's
 transposition values, hook characters at p-cycles) are implemented as
-independent second paths and cross-checked against the recursion in the
+independent second paths and cross-checked against the abacus in the
 test suite.  Everything here is big-integer exact; no floats.
 """
 
@@ -18,7 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, reduce
 from math import comb, factorial
 
 from .caps import CHARACTER_TABLE_CAP, check_cap
@@ -33,48 +34,53 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@cache
-def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on raw part tuples.
+def _abacus(nu: Partition, beads: int) -> int:
+    """nu's beta numbers nu_i + beads - 1 - i (zero parts padded) as a bitmask."""
+    parts = nu.parts + (0,) * (beads - len(nu.parts))
+    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(parts))
 
-    ``cycles`` must be sorted descending; it is consumed front-first so
-    memo keys stay canonical.  Thread-safe: the cache is only ever
-    extended with values that are pure functions of the key.
+
+def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
+    """p_r times a Schur expansion {abacus: coefficient}.
+
+    Adding a border strip of length r moves one bead b to a free b + r;
+    its height, the number of beads strictly between, gives the sign.
     """
-    if not cycles:
-        return 1 if not shape else 0
-    r, rest = cycles[0], cycles[1:]
-    total = 0
-    k = len(shape)
-    beta = [shape[i] + (k - 1 - i) for i in range(k)]
-    betaset = set(beta)
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in betaset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((betaset - {b}) | {nb}, reverse=True)
-        # Trailing zero parts drop out; beta numbers stay strictly decreasing
-        # so the result is again a valid partition.
-        newshape = tuple(
-            part for i, x in enumerate(newbeta) if (part := x - (k - 1 - i)) > 0
-        )
-        sub = _mn(newshape, rest)
-        total += -sub if height % 2 else sub
-    return total
+    out: dict[int, int] = {}
+    between = (1 << (r - 1)) - 1
+    for mask, coeff in expansion.items():
+        movable = mask & ~(mask >> r)  # beads b with b + r free
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            key = mask ^ bead ^ bead << r
+            value = -coeff if (mask >> bead.bit_length() & between).bit_count() & 1 else coeff
+            out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
+def _power_sum(lam: Partition) -> dict[int, int]:
+    """The Schur expansion of p_lam: chi_nu(lam) at nu's abacus."""
+    return reduce(_times_power_sum, lam.parts, {(1 << lam.n) - 1: 1})
 
 
 def character(nu: Partition, lam: Partition) -> int:
     """chi_nu(lam): the character of the irrep nu on the class lam."""
     if nu.n != lam.n:
         raise SizeMismatchError(f"partitions of different n: {nu} vs {lam}")
-    return _mn(nu.parts, lam.parts)
+    return _power_sum(lam).get(_abacus(nu, nu.n), 0)
+
+
+def character_column(lam: Partition) -> tuple[int, ...]:
+    """chi_nu(lam) for every irrep nu of S_n, in canonical order."""
+    expansion = _power_sum(lam)
+    return tuple(expansion.get(_abacus(nu, lam.n), 0) for nu in enumerate_partitions(lam.n))
 
 
 def dimension(nu: Partition) -> int:
     """dim(rho_nu) by the hook-length formula.
 
-    Independent of the recursion; ``character(nu, identity)`` must agree.
+    Independent of the abacus; ``character(nu, identity)`` must agree.
     """
     n = nu.n
     conj = transpose(nu).parts
@@ -161,18 +167,25 @@ class CharacterTable:
 
 
 def character_table(n: int) -> CharacterTable:
-    """Materialize the full p(n) x p(n) table (default cap n <= 14)."""
+    """Materialize the full p(n) x p(n) table (default cap n <= 14).
+
+    The columns fold depth-first in canonical order: a class's part
+    prefix is multiplied out once and shared by every class that extends
+    it, and only the current path of expansions is alive.
+    """
     check_cap(n, CHARACTER_TABLE_CAP, "character table")
-    return _character_table(n)
-
-
-@cache
-def _character_table(n: int) -> CharacterTable:
     parts = tuple(enumerate_partitions(n))
-    entries = tuple(
-        tuple(_mn(nu.parts, lam.parts) for lam in parts) for nu in parts
-    )
-    return CharacterTable(n=n, classes=parts, reps=parts, entries=entries)
+    rows = [_abacus(nu, n) for nu in parts]
+    columns = []
+
+    def extend(expansion: dict[int, int], remaining: int, largest: int) -> None:
+        if not remaining:
+            columns.append(tuple(expansion.get(row, 0) for row in rows))
+        for r in range(min(remaining, largest), 0, -1):
+            extend(_times_power_sum(expansion, r), remaining - r, r)
+
+    extend({(1 << n) - 1: 1}, n, n)
+    return CharacterTable(n=n, classes=parts, reps=parts, entries=tuple(zip(*columns)))
 
 
 def check_orthogonality(table: CharacterTable) -> None:
@@ -183,12 +196,10 @@ def check_orthogonality(table: CharacterTable) -> None:
     """
     nfact = factorial(table.n)
     sizes = [class_size(lam) for lam in table.classes]
-    cols = [table.column(lam) for lam in table.classes]
+    cols = list(zip(*table.entries))
     for a, ca in enumerate(cols):
         for b in range(a, len(cols)):
-            dot = sum(x * y for x, y in zip(ca, cols[b]))
-            want = nfact if a == b else 0
-            if sizes[a] * dot != want:
+            if sizes[a] * sum(x * y for x, y in zip(ca, cols[b])) != (nfact if a == b else 0):
                 raise ConsistencyError(
                     f"column orthogonality failed at {table.classes[a]}, {table.classes[b]}"
                 )

@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("table", help="closed-form n-cycle limiting probabilities, all p")
     add_common(p)
 
-    p = sub.add_parser("verify", help="oracle-vs-spectral and closed-form-vs-recursion suite")
+    p = sub.add_parser("verify", help="oracle-vs-spectral and closed-form-vs-abacus suite")
     add_common(p)
     p.add_argument("--t-samples", type=int, default=16)
     p.add_argument("--detailed", action="store_true",
@@ -182,6 +182,8 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
         gens.append((lam, w))
     args.generators = tuple(gens)
 
+    if getattr(args, "dump_adjacency", False) and (args.classical or args.start is not None):
+        raise UsageError("--dump-adjacency takes neither --classical nor --start")
     if hasattr(args, "start"):
         args.start = (identity_partition(n) if args.start is None
                       else _parse_partition(args.start, n, "start class"))
@@ -324,7 +326,7 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
         lines = ["t,class,probability"]
-        labels = [f"\"{lam}\"" for lam in spec.table.classes]
+        labels = [f"\"{lam}\"" for lam in spec.classes]
         for j in range(steps):
             t = lo + (hi - lo) * j / max(steps - 1, 1)
             dist = engine(spec, cfg.start, t)

@@ -43,10 +43,8 @@ class EigenGroups:
 
 def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
     """Group irreps by equal exact E_nu (rational comparison only)."""
-    groups = tuple(
-        tuple(spec.table.reps[i] for i in members)
-        for _, members in spec.eigenvalue_classes
-    )
+    groups = tuple(tuple(spec.classes[i] for i in members)
+                   for _, members in spec.eigenvalue_classes)
     return EigenGroups(n=spec.n, f=spec.f, groups=groups)
 
 
@@ -54,7 +52,7 @@ def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistr
     """Exact time average of the class distribution started from c_mu."""
     scale = Fraction(spec.class_sizes[mu], factorial(spec.n) ** 2)
     probs = {lam: scale * acc * spec.class_sizes[lam]
-             for lam, acc in zip(spec.table.classes, spec.kernel(mu).limiting_sums())}
+             for lam, acc in zip(spec.classes, spec.kernel(mu).limiting_sums())}
     total = sum(probs.values(), Fraction(0))
     if total != 1:
         raise ConsistencyError(f"limiting distribution sums to {total}, not 1")

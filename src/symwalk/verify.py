@@ -1,5 +1,5 @@
 """Cross-engine verification: spectral formulas against the dense oracle
-and the closed-form character formulas against the recursion.
+and the closed-form character formulas against the abacus engine.
 
 Each check returns a CheckResult, except the three oracle comparisons:
 they return the worst error on one graph, and ``run_suite`` gathers
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import oracle as oracle_mod
 from .characters import (
     character,
+    character_column,
     character_hook_pcycle,
     character_table,
     character_transposition,
@@ -43,6 +44,8 @@ CLASSICAL_TIMES = (0.1, 0.5, 2.0)
 # Samples over one period, and the largest error, of the sine closed form.
 SINE_SAMPLES = 64
 SINE_TOL = 1e-10
+# Each generator class's spectrum, or what ``spectrum`` raised for it.
+Spectra = dict[Partition, WalkSpectrum | ConsistencyError]
 
 
 @dataclass
@@ -101,34 +104,24 @@ def check_limiting_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> 
 
 
 def check_transposition_closed_form(n: int) -> CheckResult:
-    """Ingram's formula equals the recursion on every irrep (exact)."""
-    tau = hook(n, 2)
-    ok = all(
-        character_transposition(nu) == character(nu, tau)
-        for nu in enumerate_partitions(n)
-    )
-    return CheckResult(name="transposition_closed_form", passed=ok)
+    """Ingram's formula equals the abacus engine on every irrep (exact)."""
+    want = tuple(character_transposition(nu) for nu in enumerate_partitions(n))
+    return CheckResult(name="transposition_closed_form",
+                       passed=character_column(hook(n, 2)) == want)
 
 
 def check_hook_ncycle_characters(n: int) -> CheckResult:
     """chi_nu((n)) is (-1)^(n-k) on hooks and 0 elsewhere (exact)."""
-    ncycle = Partition((n,))
-    ok = True
-    hooks = {hook(n, k): k for k in range(1, n + 1)}
-    for nu in enumerate_partitions(n):
-        got = character(nu, ncycle)
-        want = (-1) ** (n - hooks[nu]) if nu in hooks else 0
-        ok = ok and got == want
-    return CheckResult(name="hook_ncycle_characters", passed=ok)
+    hooks = {hook(n, k): (-1) ** (n - k) for k in range(1, n + 1)}
+    want = tuple(hooks.get(nu, 0) for nu in enumerate_partitions(n))
+    return CheckResult(name="hook_ncycle_characters",
+                       passed=character_column(Partition((n,))) == want)
 
 
 def check_hook_pcycle_characters(n: int) -> CheckResult:
-    """Closed form for hooks at p-cycles equals the recursion (exact)."""
-    ok = True
-    for p in range(1, n):
-        pclass = hook(n, p)
-        for k in range(1, n + 1):
-            ok = ok and character_hook_pcycle(k, p, n) == character(hook(n, k), pclass)
+    """Closed form for hooks at p-cycles equals the abacus engine (exact)."""
+    ok = all(character_hook_pcycle(k, p, n) == character(hook(n, k), hook(n, p))
+             for p in range(1, n) for k in range(1, n + 1))
     return CheckResult(name="hook_pcycle_characters", passed=ok)
 
 
@@ -140,19 +133,19 @@ def check_orthogonality_relations(n: int) -> CheckResult:
     return CheckResult(name="orthogonality", passed=True)
 
 
-def check_eigenvalue_integrality(failures: list[str]) -> CheckResult:
+def check_eigenvalue_integrality(spectra: Spectra) -> CheckResult:
     """E_nu is an exact integer for every single-class generator; the
     failures are what ``spectrum`` raised for each generator class."""
+    failures = [str(spec) for spec in spectra.values() if isinstance(spec, ConsistencyError)]
     return CheckResult(name="eigenvalue_integrality", passed=not failures,
                        message="; ".join(failures) or None)
 
 
-def check_sine_closed_form(n: int) -> CheckResult:
+def check_sine_closed_form(n: int, spectra: Spectra) -> CheckResult:
     """(2i sin(tn/2))^(n-1)/sqrt(n*n!) against the full spectral sum."""
-    try:
-        spec = spectrum(n, ClassFunction.transpositions(n))
-    except ConsistencyError as exc:
-        return CheckResult(name="sine_closed_form", passed=False, message=str(exc))
+    spec = spectra[hook(n, 2)]
+    if isinstance(spec, ConsistencyError):
+        return CheckResult(name="sine_closed_form", passed=False, message=str(spec))
     ident = identity_partition(n)
     ncycle = Partition((n,))
     worst = 0.0
@@ -165,15 +158,14 @@ def check_sine_closed_form(n: int) -> CheckResult:
     return CheckResult(name="sine_closed_form", passed=worst <= SINE_TOL, max_abs_error=worst)
 
 
-def check_limiting_table(n: int) -> CheckResult:
+def check_limiting_table(n: int, spectra: Spectra) -> CheckResult:
     """Closed-form table rows equal the grouping engine, as reduced rationals."""
     ident = identity_partition(n)
     ncycle = Partition((n,))
     for p in range(2, n + 1):
-        try:
-            spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
-        except ConsistencyError as exc:
-            return CheckResult(name="limiting_table", passed=False, message=str(exc))
+        spec = spectra[hook(n, p)]
+        if isinstance(spec, ConsistencyError):
+            return CheckResult(name="limiting_table", passed=False, message=str(spec))
         exact = limiting_class_distribution(spec, ident).per_element[ncycle]
         if table_ncycle_probability(n, p) != exact:
             return CheckResult(
@@ -184,10 +176,10 @@ def check_limiting_table(n: int) -> CheckResult:
 
 
 def check_dimension_agreement(n: int) -> CheckResult:
-    """Hook-length dimensions equal recursion values at the identity."""
-    ident = identity_partition(n)
-    ok = all(dimension(nu) == character(nu, ident) for nu in enumerate_partitions(n))
-    return CheckResult(name="dimension_agreement", passed=ok)
+    """Hook-length dimensions equal the abacus engine at the identity."""
+    want = tuple(dimension(nu) for nu in enumerate_partitions(n))
+    return CheckResult(name="dimension_agreement",
+                       passed=character_column(identity_partition(n)) == want)
 
 
 def _oracle_check(name: str, errors: list[float], detail: list | None = None) -> CheckResult:
@@ -200,9 +192,9 @@ def _oracle_check(name: str, errors: list[float], detail: list | None = None) ->
 def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[CheckResult]:
     """The full battery for one n.
 
-    One spectrum per generator class feeds both the integrality check
-    and the three oracle checks; a generator whose spectrum fails is
-    left out of the oracle comparisons, and every check still reports.
+    One spectrum per generator class feeds every check that needs one;
+    a generator whose spectrum fails is left out of the oracle
+    comparisons, and every check still reports.
     The oracle checks share one dense graph and eigensystem per
     generator class; the quantum one samples t_samples times over one
     period.
@@ -211,12 +203,12 @@ def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[Check
         raise DomainError(f"verify needs n >= 2, got {n}")
     times = [2 * math.pi * j / t_samples for j in range(t_samples)]
     rows = [] if detailed else None
-    quantum, classical, limiting, failures = [], [], [], []
+    quantum, classical, limiting, spectra = [], [], [], {}
     for gamma in generator_classes(n):
         try:
-            spec = spectrum(n, ClassFunction.indicator(gamma))
+            spec = spectra[gamma] = spectrum(n, ClassFunction.indicator(gamma))
         except ConsistencyError as exc:
-            failures.append(str(exc))
+            spectra[gamma] = exc
             continue
         walk = oracle_mod.build_cayley(n, gamma)
         quantum.append(check_quantum_vs_oracle(walk, spec, times, rows))
@@ -230,9 +222,9 @@ def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[Check
         check_hook_ncycle_characters(n),
         check_hook_pcycle_characters(n),
         check_orthogonality_relations(n),
-        check_eigenvalue_integrality(failures),
+        check_eigenvalue_integrality(spectra),
         check_dimension_agreement(n),
-        check_sine_closed_form(n),
-        check_limiting_table(n),
+        check_sine_closed_form(n, spectra),
+        check_limiting_table(n, spectra),
         _oracle_check("limiting_vs_oracle", limiting),
     ]

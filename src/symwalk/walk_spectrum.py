@@ -31,7 +31,7 @@ from functools import cached_property
 from math import factorial
 from types import SimpleNamespace
 
-from .characters import CharacterTable, character_table, dimension
+from .characters import character_column, character_table, dimension
 from .errors import ConsistencyError, DegenerateGeneratorError, DomainError
 from .partitions import Partition, class_size, enumerate_partitions, identity_partition
 
@@ -102,17 +102,16 @@ class EigenRecord:
 class WalkSpectrum:
     """The diagonalized walk operator: one exact eigenvalue per irrep."""
 
-    def __init__(self, n: int, f: ClassFunction, table: CharacterTable,
-                 records: list[EigenRecord]):
+    def __init__(self, n: int, f: ClassFunction, records: list[EigenRecord]):
         self.n = n
         self.f = f
-        self.table = table
         self.records = records
+        self.classes = tuple(rec.rep for rec in records)  # canonical order
         self._kernels: dict[Partition, WalkKernel] = {}
 
     @cached_property
     def class_sizes(self) -> dict[Partition, int]:
-        return {lam: class_size(lam) for lam in self.table.classes}
+        return {lam: class_size(lam) for lam in self.classes}
 
     @cached_property
     def eigenvalue_classes(self) -> list[tuple[Fraction, list[int]]]:
@@ -132,27 +131,23 @@ class WalkSpectrum:
 def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
     """Diagonalize the walk operator for generator weighting f.
 
-    For a single-class indicator every eigenvalue must come out an exact
-    integer; a non-integer here means the character engine is broken, so
-    it raises rather than rounding.
+    Reads only the generator columns, one per class of f, so it runs
+    to the partition cap.  For a single-class indicator every eigenvalue
+    must come out an exact integer; a non-integer here means the
+    character engine is broken, so it raises rather than rounding.
     """
     if f.n != n:
         raise DomainError(f"class function is on n={f.n}, not {n}")
-    table = character_table(n)
+    columns = [(class_size(gamma) * w, character_column(gamma)) for gamma, w in f.weights.items()]
     single = f.is_single_class_indicator()
     records = []
-    for nu in table.reps:
+    for i, nu in enumerate(enumerate_partitions(n)):
         dim = dimension(nu)
-        total = Fraction(0)
-        for gamma, w in f.weights.items():
-            total += class_size(gamma) * w * table.value(nu, gamma)
-        ev = total / dim
+        ev = sum((scale * column[i] for scale, column in columns), Fraction(0)) / dim
         if single and ev.denominator != 1:
-            raise ConsistencyError(
-                f"eigenvalue for rep {nu} is {ev}, expected an integer"
-            )
+            raise ConsistencyError(f"eigenvalue for rep {nu} is {ev}, expected an integer")
         records.append(EigenRecord(rep=nu, eigenvalue=ev, dim=dim))
-    return WalkSpectrum(n, f, table, records)
+    return WalkSpectrum(n, f, records)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ class ClassDistribution:
     @classmethod
     def of(cls, spec: WalkSpectrum, t: float, probs) -> "ClassDistribution":
         """Wrap an array of class probabilities in canonical class order."""
-        return cls(n=spec.n, probs=dict(zip(spec.table.classes, probs.tolist())), t=t)
+        return cls(n=spec.n, probs=dict(zip(spec.classes, probs.tolist())), t=t)
 
 
 class WalkKernel:
@@ -195,10 +190,11 @@ class WalkKernel:
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
         groups = spec.eigenvalue_classes
-        col_mu = spec.table.column(mu)
+        table = character_table(spec.n)  # the one engine that needs every column
+        col_mu = table.column(mu)
         self.coefficients = tuple(
             tuple(sum(col[i] * col_mu[i] for i in members) for _, members in groups)
-            for col in zip(*spec.table.entries)
+            for col in zip(*table.entries)
         )
         self.energies = tuple(ev for ev, _ in groups)
         self.spec = spec
@@ -211,7 +207,7 @@ class WalkKernel:
         import numpy as np
 
         spec, nfact = self.spec, factorial(self.spec.n)
-        sizes = [spec.class_sizes[lam] for lam in spec.table.classes]
+        sizes = [spec.class_sizes[lam] for lam in spec.classes]
         return SimpleNamespace(
             # K transposed: summing it over axis 0 adds the groups one after
             # another, in the order of a per-class loop (a BLAS product
@@ -259,7 +255,7 @@ def class_amplitude(spec: WalkSpectrum, lam: Partition, mu: Partition, t: float)
     """<c_lam| e^{itH} |c_mu> for class-uniform unit states c."""
     if lam.n != spec.n or mu.n != spec.n:
         raise DomainError("start and target classes must partition the walk's n")
-    return complex(spec.kernel(mu).amplitudes(t)[spec.table.index(lam)])
+    return complex(spec.kernel(mu).amplitudes(t)[spec.classes.index(lam)])
 
 
 def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:

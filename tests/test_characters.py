@@ -1,11 +1,14 @@
 import json
+from functools import cache
 from math import comb, factorial
 
 import pytest
 
+from symwalk import characters
 from symwalk.characters import (
     binom,
     character,
+    character_column,
     character_hook_pcycle,
     character_table,
     character_transposition,
@@ -24,6 +27,79 @@ from symwalk.partitions import (
 
 def count_fixed_points(lam):
     return sum(1 for p in lam.parts if p == 1)
+
+
+@cache
+def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """Reference engine: the Murnaghan-Nakayama recursion, which removes
+    a border strip of the first (largest) cycle length on beta numbers."""
+    if not cycles:
+        return 1 if not shape else 0
+    r, rest = cycles[0], cycles[1:]
+    total = 0
+    k = len(shape)
+    beta = [shape[i] + (k - 1 - i) for i in range(k)]
+    betaset = set(beta)
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in betaset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        newbeta = sorted((betaset - {b}) | {nb}, reverse=True)
+        newshape = tuple(
+            part for i, x in enumerate(newbeta) if (part := x - (k - 1 - i)) > 0
+        )
+        sub = _mn(newshape, rest)
+        total += -sub if height % 2 else sub
+    return total
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_table_equals_the_reference_recursion(n):
+    parts = enumerate_partitions(n)
+    assert character_table(n).entries == tuple(
+        tuple(_mn(nu.parts, lam.parts) for lam in parts) for nu in parts
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_single_characters_and_columns_equal_the_table(n):
+    table = character_table(n)
+    for lam in table.classes:
+        assert character_column(lam) == table.column(lam)
+        for nu in table.reps:
+            assert character(nu, lam) == table.value(nu, lam)
+
+
+def test_no_character_memo_outlives_a_call():
+    assert not [name for name, value in vars(characters).items()
+                if callable(getattr(value, "cache_clear", None))]
+
+
+# Columns at n = 30, far past the table cap, against the closed forms.
+N30 = 30
+
+
+def test_identity_column_is_the_hook_length_dimensions_n30():
+    column = character_column(identity_partition(N30))
+    assert column == tuple(dimension(nu) for nu in enumerate_partitions(N30))
+
+
+def test_transposition_column_is_ingrams_formula_n30():
+    column = character_column(hook(N30, 2))
+    assert column == tuple(character_transposition(nu) for nu in enumerate_partitions(N30))
+
+
+def test_ncycle_and_pcycle_columns_on_hooks_n30():
+    parts = enumerate_partitions(N30)
+    hooks = {hook(N30, k): k for k in range(1, N30 + 1)}
+    ncycle = character_column(Partition((N30,)))
+    assert {nu: v for nu, v in zip(parts, ncycle) if v} == {
+        nu: (-1) ** (N30 - k) for nu, k in hooks.items()}
+    p = 7
+    pcycle = dict(zip(parts, character_column(hook(N30, p))))
+    for nu, k in hooks.items():
+        assert pcycle[nu] == character_hook_pcycle(k, p, N30)
 
 
 def test_binom_out_of_range_is_zero():

@@ -349,6 +349,8 @@ def test_weight_exponents_past_the_digit_limit_are_refused(capsys, weight):
 @pytest.mark.parametrize("argv", [
     ("distribution", "--n", "3", "--generator", "2,1", "--t", "0.5", "--t-grid", "2"),
     ("oracle", "--n", "3", "--generator", "2,1", "--t", "0.5", "--dump-adjacency"),
+    ("oracle", "--n", "3", "--generator", "2,1", "--dump-adjacency", "--classical"),
+    ("oracle", "--n", "3", "--generator", "2,1", "--dump-adjacency", "--start", "3"),
 ])
 def test_conflicting_flags_are_usage_errors(capsys, argv):
     _assert_json_error(*run_cli(capsys, *argv), 1)
@@ -384,3 +386,22 @@ def test_verify_time_samples_are_capped(capsys):
 
     _assert_json_error(*run_cli(capsys, "verify", "--n", "3", "--t-samples",
                                 str(TIME_POINTS_CAP + 1)), 3)
+
+
+def test_spectrum_reads_columns_past_the_table_cap(capsys):
+    # The transposition eigenvalue of nu is the content sum of its cells
+    # (Diaconis-Shahshahani), here far above the character-table cap.
+    n = 20
+    code, out, err = run_cli(capsys, "spectrum", "--n", str(n), "--generator",
+                             ",".join(["2"] + ["1"] * (n - 2)))
+    assert code == 0 and err == ""
+    for row in json.loads(out)["eigenvalues"]:
+        contents = sum(j - i for i, part in enumerate(row["rep"]) for j in range(part))
+        assert row["exact"] == str(contents)
+
+
+def test_table_backed_commands_keep_the_table_cap(capsys):
+    code, out, err = run_cli(capsys, "limit", "--n", "15", "--generator",
+                             ",".join(["2"] + ["1"] * 13))
+    _assert_json_error(code, out, err, 3)
+    assert json.loads(err)["error"] == "character table for n=15 exceeds the cap of 14"

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from symwalk.characters import character_table
 from symwalk.errors import DomainError, SupportMismatchError
 from symwalk.limiting import (
     eigenvalue_groups,
@@ -249,11 +250,12 @@ def test_kernel_limit_matches_per_pair_grouping_n14():
     spec = spectrum(n, ClassFunction.transpositions(n))
     mu = identity_partition(n)
     exact = limiting_class_distribution(spec, mu)
+    table = character_table(n)
     nfact = factorial(n)
-    for lam in spec.table.classes:
+    for lam in spec.classes:
         coeff = {}
         for rec in spec.records:
-            term = spec.table.value(rec.rep, lam) * spec.table.value(rec.rep, mu)
+            term = table.value(rec.rep, lam) * table.value(rec.rep, mu)
             coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
         want = Fraction(class_size(lam) * class_size(mu) * sum(c * c for c in coeff.values()),
                         nfact**2)

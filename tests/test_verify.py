@@ -25,9 +25,10 @@ def _counting(monkeypatch, module, name):
 def test_each_graph_is_built_and_diagonalised_once(monkeypatch):
     builds = _counting(monkeypatch, oracle, "build_cayley")
     eighs = _counting(monkeypatch, np.linalg, "eigh")
+    spectra = _counting(monkeypatch, verify, "spectrum")
     results = verify.run_suite(4)
     assert all(r.passed for r in results)
-    assert len(builds) == len(eighs) == len(verify.generator_classes(4)) == 4
+    assert len(builds) == len(eighs) == len(spectra) == len(verify.generator_classes(4)) == 4
     names = [r.name for r in results]
     assert (names[0], names[1], names[-1]) == ORACLE_CHECKS and len(names) == 11
 

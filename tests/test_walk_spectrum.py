@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from symwalk.characters import binom
+from symwalk.characters import binom, character_table
 from symwalk.errors import ConsistencyError, DegenerateGeneratorError, DomainError
 from symwalk.oracle import build_cayley, class_aggregate, class_sums, evolve_classical, evolve_quantum
 from symwalk.partitions import (
@@ -222,12 +222,12 @@ def test_integrality_assertion_wired():
     assert all(r.eigenvalue.denominator == 1 for r in spec.records)
 
 
-def _grouped_phase_sum(spec, lam, mu, phase):
+def _grouped_phase_sum(spec, table, lam, mu, phase):
     """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu) for one (lam, mu) pair,
     with the exact integer coefficient of each distinct E_nu summed first."""
     coeff = {}
     for rec in spec.records:
-        term = spec.table.value(rec.rep, lam) * spec.table.value(rec.rep, mu)
+        term = table.value(rec.rep, lam) * table.value(rec.rep, mu)
         coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
     return sum(phase(ev) * float(c) for ev, c in coeff.items() if c)
 
@@ -235,19 +235,20 @@ def _grouped_phase_sum(spec, lam, mu, phase):
 def test_kernel_matches_per_pair_phase_sum_n14():
     n = 14
     spec = spectrum(n, ClassFunction.transpositions(n))
+    table = character_table(n)
     nfact = factorial(n)
     d = spec.f.degree()
     for mu in (identity_partition(n), Partition((3, 3, 3, 3, 1, 1))):
         for t in (0.3, 1.7, 4.1):
             quantum = class_distribution(spec, mu, t)
             classical = classical_class_distribution(spec, mu, t)
-            for lam in spec.table.classes:
+            for lam in spec.classes:
                 pref = math.sqrt(Fraction(class_size(lam) * class_size(mu), nfact**2))
                 amp = pref * _grouped_phase_sum(
-                    spec, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
+                    spec, table, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
                 assert abs(quantum.probs[lam] - abs(amp) ** 2) <= 1e-15
                 heat = _grouped_phase_sum(
-                    spec, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
+                    spec, table, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
                 want = max(class_size(lam) / nfact * heat, 0.0)
                 assert abs(classical.probs[lam] - want) <= 1e-15
 
