@@ -19,7 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import comb, factorial
 
 from .caps import CHARACTER_TABLE_CAP, check_cap
@@ -34,10 +34,11 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def _abacus(nu: Partition, beads: int) -> int:
-    """nu's beta numbers nu_i + beads - 1 - i (zero parts padded) as a bitmask."""
-    parts = nu.parts + (0,) * (beads - len(nu.parts))
-    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(parts))
+def _abacus(nu: Partition) -> int:
+    """nu's n beta numbers nu_i + n - 1 - i (zero parts padded) as a bitmask."""
+    n = nu.n
+    parts = nu.parts + (0,) * (n - len(nu.parts))
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(parts))
 
 
 def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
@@ -68,13 +69,13 @@ def character(nu: Partition, lam: Partition) -> int:
     """chi_nu(lam): the character of the irrep nu on the class lam."""
     if nu.n != lam.n:
         raise SizeMismatchError(f"partitions of different n: {nu} vs {lam}")
-    return _power_sum(lam).get(_abacus(nu, nu.n), 0)
+    return _power_sum(lam).get(_abacus(nu), 0)
 
 
 def character_column(lam: Partition) -> tuple[int, ...]:
     """chi_nu(lam) for every irrep nu of S_n, in canonical order."""
     expansion = _power_sum(lam)
-    return tuple(expansion.get(_abacus(nu, lam.n), 0) for nu in enumerate_partitions(lam.n))
+    return tuple(expansion.get(_abacus(nu), 0) for nu in enumerate_partitions(lam.n))
 
 
 def dimension(nu: Partition) -> int:
@@ -134,18 +135,8 @@ class CharacterTable:
     reps: tuple[Partition, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _positions(self) -> dict[Partition, int]:
-        return {lam: i for i, lam in enumerate(self.classes)}
-
-    def index(self, lam: Partition) -> int:
-        return self._positions[lam]
-
-    def value(self, nu: Partition, lam: Partition) -> int:
-        return self.entries[self.index(nu)][self.index(lam)]
-
     def column(self, lam: Partition) -> tuple[int, ...]:
-        j = self.index(lam)
+        j = self.classes.index(lam)
         return tuple(row[j] for row in self.entries)
 
     def to_csv(self) -> str:
@@ -175,7 +166,7 @@ def character_table(n: int) -> CharacterTable:
     """
     check_cap(n, CHARACTER_TABLE_CAP, "character table")
     parts = tuple(enumerate_partitions(n))
-    rows = [_abacus(nu, n) for nu in parts]
+    rows = [_abacus(nu) for nu in parts]
     columns = []
 
     def extend(expansion: dict[int, int], remaining: int, largest: int) -> None:
@@ -196,10 +187,12 @@ def check_orthogonality(table: CharacterTable) -> None:
     """
     nfact = factorial(table.n)
     sizes = [class_size(lam) for lam in table.classes]
-    cols = list(zip(*table.entries))
+    cols = [table.column(lam) for lam in table.classes]
     for a, ca in enumerate(cols):
         for b in range(a, len(cols)):
-            if sizes[a] * sum(x * y for x, y in zip(ca, cols[b])) != (nfact if a == b else 0):
+            dot = sum(x * y for x, y in zip(ca, cols[b]))
+            want = nfact if a == b else 0
+            if sizes[a] * dot != want:
                 raise ConsistencyError(
                     f"column orthogonality failed at {table.classes[a]}, {table.classes[b]}"
                 )

@@ -19,7 +19,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .caps import TABLE_CAP, check_cap, check_time_points
+from .caps import CHARACTER_TABLE_CAP, TABLE_CAP, check_cap, check_time_points
 from .characters import character_table
 from .errors import ResourceLimitError, SymwalkError
 from .limiting import (
@@ -32,6 +32,7 @@ from .limiting import (
 from .partitions import Partition, class_size, identity_partition, is_even_class
 from .walk_spectrum import (
     ClassFunction,
+    WalkSpectrum,
     class_amplitude,
     class_distribution,
     classical_class_distribution,
@@ -231,6 +232,14 @@ def _class_function(cfg: argparse.Namespace) -> ClassFunction:
     return ClassFunction(cfg.n, weights)
 
 
+def _walk_spectrum(cfg: argparse.Namespace) -> WalkSpectrum:
+    """The spectrum for a command that evaluates the walk, which needs the
+    full character table: its cap is checked before any column is folded."""
+    f = _class_function(cfg)
+    check_cap(cfg.n, CHARACTER_TABLE_CAP, "character table")
+    return spectrum(cfg.n, f)
+
+
 def _generator_json(cfg: argparse.Namespace):
     if len(cfg.generators) == 1 and cfg.generators[0][1] == 1:
         return list(cfg.generators[0][0].parts)
@@ -287,7 +296,7 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_amplitude(cfg: argparse.Namespace) -> int:
-    spec = spectrum(cfg.n, _class_function(cfg))
+    spec = _walk_spectrum(cfg)
     amp = class_amplitude(spec, cfg.target, cfg.start, cfg.t)
     payload = {
         "n": cfg.n,
@@ -321,7 +330,7 @@ def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
 
 
 def _cmd_distribution(cfg: argparse.Namespace) -> int:
-    spec = spectrum(cfg.n, _class_function(cfg))
+    spec = _walk_spectrum(cfg)
     engine = classical_class_distribution if cfg.classical else class_distribution
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
@@ -340,7 +349,7 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_limit(cfg: argparse.Namespace) -> int:
-    spec = spectrum(cfg.n, _class_function(cfg))
+    spec = _walk_spectrum(cfg)
     exact = limiting_class_distribution(spec, cfg.start)
     groups = eigenvalue_groups(spec)
     classes = []

@@ -43,8 +43,10 @@ class EigenGroups:
 
 def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
     """Group irreps by equal exact E_nu (rational comparison only)."""
-    groups = tuple(tuple(spec.classes[i] for i in members)
-                   for _, members in spec.eigenvalue_classes)
+    groups = tuple(
+        tuple(spec.classes[i] for i in members)
+        for _, members in spec.eigenvalue_classes
+    )
     return EigenGroups(n=spec.n, f=spec.f, groups=groups)
 
 
@@ -59,10 +61,7 @@ def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistr
     return ClassDistribution(n=spec.n, probs=probs)
 
 
-_TableRow = tuple[str, Fraction]
-
-
-def table_ncycle_case(n: int, p: int) -> _TableRow:
+def table_ncycle_case(n: int, p: int) -> tuple[str, Fraction]:
     """Closed-form per-element n-cycle limiting probability and which of
     the eight parity/range cases produced it.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import oracle as oracle_mod
 from .characters import (
-    character,
     character_column,
     character_hook_pcycle,
     character_table,
@@ -120,8 +119,10 @@ def check_hook_ncycle_characters(n: int) -> CheckResult:
 
 def check_hook_pcycle_characters(n: int) -> CheckResult:
     """Closed form for hooks at p-cycles equals the abacus engine (exact)."""
-    ok = all(character_hook_pcycle(k, p, n) == character(hook(n, k), hook(n, p))
-             for p in range(1, n) for k in range(1, n + 1))
+    parts = enumerate_partitions(n)
+    columns = {p: dict(zip(parts, character_column(hook(n, p)))) for p in range(1, n)}
+    ok = all(character_hook_pcycle(k, p, n) == column[hook(n, k)]
+             for p, column in columns.items() for k in range(1, n + 1))
     return CheckResult(name="hook_pcycle_characters", passed=ok)
 
 

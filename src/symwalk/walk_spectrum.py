@@ -72,9 +72,6 @@ class ClassFunction:
     def is_single_class_indicator(self) -> bool:
         return len(self.weights) == 1 and next(iter(self.weights.values())) == 1
 
-    def is_zero_one(self) -> bool:
-        return all(w == 1 for w in self.weights.values())
-
     def degree(self) -> Fraction:
         """sum_gamma |C_gamma| f(gamma); the graph degree for indicators."""
         return sum((class_size(g) * w for g, w in self.weights.items()), Fraction(0))
@@ -145,7 +142,9 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
         dim = dimension(nu)
         ev = sum((scale * column[i] for scale, column in columns), Fraction(0)) / dim
         if single and ev.denominator != 1:
-            raise ConsistencyError(f"eigenvalue for rep {nu} is {ev}, expected an integer")
+            raise ConsistencyError(
+                f"eigenvalue for rep {nu} is {ev}, expected an integer"
+            )
         records.append(EigenRecord(rep=nu, eigenvalue=ev, dim=dim))
     return WalkSpectrum(n, f, records)
 
@@ -269,7 +268,7 @@ def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) ->
     Started from the uniform distribution on C_mu.  Only 0/1 generator
     weightings give a genuine Laplacian.
     """
-    if not spec.f.is_zero_one():
+    if not all(w == 1 for w in spec.f.weights.values()):
         raise DomainError("classical walk requires a 0/1 generator indicator")
     return ClassDistribution.of(spec, t, spec.kernel(mu).classical_probabilities(t))
 

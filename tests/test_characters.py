@@ -66,9 +66,10 @@ def test_table_equals_the_reference_recursion(n):
 def test_single_characters_and_columns_equal_the_table(n):
     table = character_table(n)
     for lam in table.classes:
-        assert character_column(lam) == table.column(lam)
-        for nu in table.reps:
-            assert character(nu, lam) == table.value(nu, lam)
+        column = table.column(lam)
+        assert character_column(lam) == column
+        for nu, value in zip(table.reps, column):
+            assert character(nu, lam) == value
 
 
 def test_no_character_memo_outlives_a_call():

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import symwalk
 from symwalk.cli import main
+from symwalk.partitions import enumerate_partitions
 
 
 def run_cli(capsys, *argv):
@@ -405,3 +407,19 @@ def test_table_backed_commands_keep_the_table_cap(capsys):
                              ",".join(["2"] + ["1"] * 13))
     _assert_json_error(code, out, err, 3)
     assert json.loads(err)["error"] == "character table for n=15 exceeds the cap of 14"
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit",),
+    ("distribution", "--t", "1"),
+    ("amplitude", "--target", "30", "--t", "1"),
+])
+def test_table_cap_refuses_before_any_column_is_folded(capsys, argv):
+    # Folding these twenty columns at n = 30 takes seconds; the refusal
+    # must come before the spectrum is built.
+    gens = [arg for lam in enumerate_partitions(30)[-21:-1] for arg in ("--generator", str(lam))]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--n", "30", *argv[1:], *gens)
+    assert time.perf_counter() - start < 0.5
+    _assert_json_error(code, out, err, 3)
+    assert json.loads(err)["error"] == "character table for n=30 exceeds the cap of 14"

@@ -254,9 +254,8 @@ def test_kernel_limit_matches_per_pair_grouping_n14():
     nfact = factorial(n)
     for lam in spec.classes:
         coeff = {}
-        for rec in spec.records:
-            term = table.value(rec.rep, lam) * table.value(rec.rep, mu)
-            coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
+        for rec, x, y in zip(spec.records, table.column(lam), table.column(mu)):
+            coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + x * y
         want = Fraction(class_size(lam) * class_size(mu) * sum(c * c for c in coeff.values()),
                         nfact**2)
         assert exact.probs[lam] == want

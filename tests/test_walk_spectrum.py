@@ -226,9 +226,8 @@ def _grouped_phase_sum(spec, table, lam, mu, phase):
     """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu) for one (lam, mu) pair,
     with the exact integer coefficient of each distinct E_nu summed first."""
     coeff = {}
-    for rec in spec.records:
-        term = table.value(rec.rep, lam) * table.value(rec.rep, mu)
-        coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + term
+    for rec, x, y in zip(spec.records, table.column(lam), table.column(mu)):
+        coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + x * y
     return sum(phase(ev) * float(c) for ev, c in coeff.items() if c)
 
 
