@@ -20,7 +20,7 @@ from .limiting import (
     EigenGroups,
     eigenvalue_groups,
     limiting_class_distribution,
-    table_ncycle_probability,
+    table_ncycle_case,
     time_averaged_distribution,
     tv_distance,
 )

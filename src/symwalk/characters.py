@@ -125,25 +125,23 @@ def character_hook_pcycle(k: int, p: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Complete character table of S_n in canonical partition order.
-
-    ``entries[i][j]`` is chi_nu(lam) for nu = reps[i], lam = classes[j].
+    """Complete character table of S_n in canonical partition order,
+    column-major: ``columns[j][i]`` is chi_nu(lam) for lam = classes[j]
+    and nu = classes[i], since irreps and classes share one list.
     """
 
     n: int
     classes: tuple[Partition, ...]
-    reps: tuple[Partition, ...]
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def column(self, lam: Partition) -> tuple[int, ...]:
-        j = self.classes.index(lam)
-        return tuple(row[j] for row in self.entries)
+        return self.columns[self.classes.index(lam)]
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + [str(lam) for lam in self.classes])
-        for nu, row in zip(self.reps, self.entries):
+        for nu, row in zip(self.classes, zip(*self.columns)):
             writer.writerow([str(nu)] + [str(v) for v in row])
         return out.getvalue()
 
@@ -152,8 +150,8 @@ class CharacterTable:
         return {
             "n": self.n,
             "classes": [list(lam.parts) for lam in self.classes],
-            "reps": [list(nu.parts) for nu in self.reps],
-            "entries": [[str(v) for v in row] for row in self.entries],
+            "reps": [list(nu.parts) for nu in self.classes],
+            "entries": [[str(v) for v in row] for row in zip(*self.columns)],
         }
 
 
@@ -176,7 +174,7 @@ def character_table(n: int) -> CharacterTable:
             extend(_times_power_sum(expansion, r), remaining - r, r)
 
     extend({(1 << n) - 1: 1}, n, n)
-    return CharacterTable(n=n, classes=parts, reps=parts, entries=tuple(zip(*columns)))
+    return CharacterTable(n=n, classes=parts, columns=tuple(columns))
 
 
 def check_orthogonality(table: CharacterTable) -> None:
@@ -187,7 +185,7 @@ def check_orthogonality(table: CharacterTable) -> None:
     """
     nfact = factorial(table.n)
     sizes = [class_size(lam) for lam in table.classes]
-    cols = [table.column(lam) for lam in table.classes]
+    cols = table.columns
     for a, ca in enumerate(cols):
         for b in range(a, len(cols)):
             dot = sum(x * y for x, y in zip(ca, cols[b]))
@@ -196,10 +194,11 @@ def check_orthogonality(table: CharacterTable) -> None:
                 raise ConsistencyError(
                     f"column orthogonality failed at {table.classes[a]}, {table.classes[b]}"
                 )
-    for a, ra in enumerate(table.entries):
-        for b in range(a, len(table.entries)):
-            dot = sum(s * x * y for s, x, y in zip(sizes, ra, table.entries[b]))
+    rows = list(zip(*cols))
+    for a, ra in enumerate(rows):
+        for b in range(a, len(rows)):
+            dot = sum(s * x * y for s, x, y in zip(sizes, ra, rows[b]))
             if dot != (nfact if a == b else 0):
                 raise ConsistencyError(
-                    f"row orthogonality failed at {table.reps[a]}, {table.reps[b]}"
+                    f"row orthogonality failed at {table.classes[a]}, {table.classes[b]}"
                 )

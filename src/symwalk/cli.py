@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .caps import CHARACTER_TABLE_CAP, TABLE_CAP, check_cap, check_time_points
 from .characters import character_table
-from .errors import ResourceLimitError, SymwalkError
+from .errors import DegenerateGeneratorError, ResourceLimitError, SupportMismatchError, SymwalkError
 from .limiting import (
     eigenvalue_groups,
     limiting_class_distribution,
@@ -29,7 +29,7 @@ from .limiting import (
     time_averaged_distribution,
     tv_distance,
 )
-from .partitions import Partition, class_size, identity_partition, is_even_class
+from .partitions import Partition, class_size, identity_partition
 from .walk_spectrum import (
     ClassFunction,
     WalkSpectrum,
@@ -224,12 +224,13 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
 def _class_function(cfg: argparse.Namespace) -> ClassFunction:
     if not cfg.generators:
         raise UsageError("at least one --generator is required")
-    if len(cfg.generators) == 1 and cfg.generators[0][1] == 1:
-        return ClassFunction.indicator(cfg.generators[0][0])
     weights: dict[Partition, Fraction] = {}
     for lam, w in cfg.generators:
         weights[lam] = weights.get(lam, Fraction(0)) + w
-    return ClassFunction(cfg.n, weights)
+    f = ClassFunction(cfg.n, weights)  # keeps only the nonzero weights
+    if all(lam == identity_partition(cfg.n) for lam in f.weights):  # then H is c*I
+        raise DegenerateGeneratorError("the identity class does not generate a walk")
+    return f
 
 
 def _walk_spectrum(cfg: argparse.Namespace) -> WalkSpectrum:
@@ -247,6 +248,10 @@ def _generator_json(cfg: argparse.Namespace):
         {"partition": list(lam.parts), "weight": exact_str(w)}
         for lam, w in cfg.generators
     ]
+
+
+def _class_row(lam: Partition, **fields) -> dict:
+    return {"partition": list(lam.parts), "class_size": str(class_size(lam)), **fields}
 
 
 def _emit(cfg: argparse.Namespace, text: str) -> None:
@@ -318,12 +323,7 @@ def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
         "t": dist.t,
         "start": list(cfg.start.parts),
         "classes": [
-            {
-                "partition": list(lam.parts),
-                "class_size": str(class_size(lam)),
-                "probability": dist.probs[lam],
-                "per_element": dist.per_element[lam],
-            }
+            _class_row(lam, probability=dist.probs[lam], per_element=dist.per_element[lam])
             for lam in dist.probs
         ],
     }
@@ -352,17 +352,19 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
     spec = _walk_spectrum(cfg)
     exact = limiting_class_distribution(spec, cfg.start)
     groups = eigenvalue_groups(spec)
-    classes = []
-    for lam, p in exact.probs.items():
-        classes.append({
-            "partition": list(lam.parts),
-            "class_size": str(class_size(lam)),
-            "probability": float(p),
-            "exact": exact_str(p),
-            "per_element": float(exact.per_element[lam]),
-            "per_element_exact": exact_str(exact.per_element[lam]),
-        })
-    tv_sn = tv_distance(exact, "symmetric_group")
+    classes = [
+        _class_row(lam, probability=float(p), exact=exact_str(p),
+                   per_element=float(exact.per_element[lam]),
+                   per_element_exact=exact_str(exact.per_element[lam]))
+        for lam, p in exact.probs.items()
+    ]
+    tv = []
+    for support in ("symmetric_group", "alternating_group"):
+        try:
+            distance = tv_distance(exact, support)
+        except SupportMismatchError:  # odd classes carry mass
+            continue
+        tv.append({"support": support, "distance": float(distance), "exact": exact_str(distance)})
     payload = {
         "n": cfg.n,
         "generator": _generator_json(cfg),
@@ -371,18 +373,8 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
         "eigenvalue_groups": [
             [list(nu.parts) for nu in group] for group in groups.groups
         ],
-        "tv": [
-            {"support": "symmetric_group", "distance": float(tv_sn), "exact": exact_str(tv_sn)},
-        ],
+        "tv": tv,
     }
-    odd_mass = sum(
-        (p for lam, p in exact.probs.items() if not is_even_class(lam)), Fraction(0)
-    )
-    if odd_mass == 0:
-        tv_an = tv_distance(exact, "alternating_group")
-        payload["tv"].append(
-            {"support": "alternating_group", "distance": float(tv_an), "exact": exact_str(tv_an)}
-        )
     if cfg.average is not None:
         horizon, samples = cfg.average
         avg = time_averaged_distribution(spec, cfg.start, horizon, samples)
@@ -419,16 +411,9 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     from .verify import run_suite  # loads numpy, which the exact commands never need
 
     results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
-    checks = []
-    for res in results:
-        entry = {"name": res.name, "passed": res.passed}
-        if res.max_abs_error is not None:
-            entry["max_abs_error"] = res.max_abs_error
-        if res.message:
-            entry["message"] = res.message
-        if res.detail:
-            entry["detail"] = res.detail
-        checks.append(entry)
+    # CheckResult's fields in declaration order, leaving out None and empty values.
+    checks = [{key: value for key, value in vars(res).items() if value not in (None, "", [])}
+              for res in results]
     failed = sum(1 for r in results if not r.passed)
     payload = {
         "n": cfg.n,
@@ -464,14 +449,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         "t": cfg.t,
         "start": list(cfg.start.parts),
         "classical": cfg.classical,
-        "classes": [
-            {
-                "partition": list(lam.parts),
-                "class_size": str(class_size(lam)),
-                "probability": sums[lam],
-            }
-            for lam in walk.classes
-        ],
+        "classes": [_class_row(lam, probability=sums[lam]) for lam in walk.classes],
     }
     if not cfg.classical:
         payload["max_class_deviation"] = agg.max_class_deviation

@@ -12,7 +12,7 @@ Everything on this route is a big-integer/rational identity; the only
 collision detection is equality of exact rationals, never floats.
 
 The closed-form n-cycle table for p-cycle generators is implemented
-separately in ``table_ncycle_probability`` purely as an independent
+separately in ``table_ncycle_case`` purely as an independent
 cross-check on the grouping engine.
 """
 
@@ -27,7 +27,6 @@ from .errors import ConsistencyError, DomainError, SupportMismatchError
 from .partitions import Partition, class_size, is_even_class
 from .walk_spectrum import (
     ClassDistribution,
-    ClassFunction,
     WalkSpectrum,
 )
 
@@ -36,8 +35,6 @@ from .walk_spectrum import (
 class EigenGroups:
     """Partition of the irreps of S_n by exact eigenvalue equality."""
 
-    n: int
-    f: ClassFunction
     groups: tuple[tuple[Partition, ...], ...]
 
 
@@ -47,7 +44,7 @@ def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
         tuple(spec.classes[i] for i in members)
         for _, members in spec.eigenvalue_classes
     )
-    return EigenGroups(n=spec.n, f=spec.f, groups=groups)
+    return EigenGroups(groups=groups)
 
 
 def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistribution:
@@ -97,11 +94,6 @@ def table_ncycle_case(n: int, p: int) -> tuple[str, Fraction]:
         "odd_n_odd_p_high",
         Fraction(4 * hooksq_sum(n - p) + 4 * comb(n - 2, p - 1) ** 2, sq),
     )
-
-
-def table_ncycle_probability(n: int, p: int) -> Fraction:
-    """Per-element limiting probability of each n-cycle for the p-cycle walk."""
-    return table_ncycle_case(n, p)[1]
 
 
 Support = Literal["symmetric_group", "alternating_group"]

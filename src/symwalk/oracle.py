@@ -117,6 +117,8 @@ def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     """e^{-tL} applied to the start distribution, L = dI - A."""
     if t < 0:
         raise DomainError("classical walk time must be nonnegative")
+    if not np.isfinite(t):  # e^{-t gap} would take inf * 0 on the stationary modes
+        raise DomainError(f"time must be a finite number, got {t!r}")
     evals, evecs = walk.eigensystem()
     gaps = walk.degree - evals
     # Stationary modes, as in the Cesaro limit: e^{-t gap} would amplify their eigh rounding.

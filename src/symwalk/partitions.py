@@ -12,6 +12,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
@@ -20,6 +21,7 @@ from .caps import PARTITION_CAP, check_cap
 from .errors import InvalidPartitionError, InvalidPermutationError
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A weakly decreasing tuple of positive integers summing to n.
 
@@ -27,10 +29,10 @@ class Partition:
     tuples are identical.  The empty partition (n = 0) is allowed.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
                 raise InvalidPartitionError(f"parts must be positive integers, got {parts}")
@@ -41,18 +43,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
         """Serialize as comma-separated descending parts, e.g. ``2,1,1``.

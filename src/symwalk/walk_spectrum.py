@@ -193,7 +193,7 @@ class WalkKernel:
         col_mu = table.column(mu)
         self.coefficients = tuple(
             tuple(sum(col[i] * col_mu[i] for i in members) for _, members in groups)
-            for col in zip(*table.entries)
+            for col in table.columns
         )
         self.energies = tuple(ev for ev, _ in groups)
         self.spec = spec
@@ -240,6 +240,8 @@ class WalkKernel:
 
         if not t >= 0:
             raise DomainError(f"the classical walk runs forward in time, got t={t!r}")
+        if not math.isfinite(t):  # e^{-t(d - E_G)} would take inf * 0 on the stationary group
+            raise DomainError(f"time must be a finite number, got {t!r}")
         a = self._arrays
         with np.errstate(over="ignore"):  # t*(E_G - d) may round to -inf; e^-inf is 0
             decay = np.exp(t * a.neg_gaps)

@@ -20,7 +20,7 @@ from symwalk.characters import (
 )
 from symwalk.limiting import (
     limiting_class_distribution,
-    table_ncycle_probability,
+    table_ncycle_case,
     tv_distance,
 )
 from symwalk.oracle import (
@@ -142,7 +142,7 @@ def test_criterion_5_table_certification():
         for p in range(2, n + 1):
             spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
             engine = limiting_class_distribution(spec, ident).per_element[ncycle]
-            table = table_ncycle_probability(n, p)
+            table = table_ncycle_case(n, p)[1]
             assert table == engine, f"n={n}, p={p}: table {table} != engine {engine}"
             checked += 1
     report(5, True, f"all {checked} (n,p) table rows equal the grouping engine exactly")

@@ -57,8 +57,8 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 @pytest.mark.parametrize("n", range(0, 13))
 def test_table_equals_the_reference_recursion(n):
     parts = enumerate_partitions(n)
-    assert character_table(n).entries == tuple(
-        tuple(_mn(nu.parts, lam.parts) for lam in parts) for nu in parts
+    assert character_table(n).columns == tuple(
+        tuple(_mn(nu.parts, lam.parts) for nu in parts) for lam in parts
     )
 
 
@@ -68,7 +68,7 @@ def test_single_characters_and_columns_equal_the_table(n):
     for lam in table.classes:
         column = table.column(lam)
         assert character_column(lam) == column
-        for nu, value in zip(table.reps, column):
+        for nu, value in zip(table.classes, column):
             assert character(nu, lam) == value
 
 
@@ -136,12 +136,12 @@ def test_s3_values():
     table = character_table(3)
     assert table.classes == (Partition((3,)), Partition((2, 1)), Partition((1, 1, 1)))
     # canonical (descending) column order: (3), (2,1), (1,1,1)
-    assert table.entries == ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
+    assert table.columns == ((1, -1, 1), (1, 0, -1), (1, 2, 1))
 
 
 def test_n1_table():
     table = character_table(1)
-    assert table.entries == ((1,),)
+    assert table.columns == ((1,),)
 
 
 def test_size_mismatch():

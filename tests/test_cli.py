@@ -250,9 +250,28 @@ def _assert_json_error(code, out, err, want_code):
     ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "0,inf,2"),
     ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "nan,1,2"),
     ("limit", "--n", "4", "--generator", "2,1,1", "--average", "inf,4"),
+    # The grid's last point overflows to inf although both ends are finite.
+    ("distribution", "--n", "3", "--generator", "2,1", "--t-grid", "0,1e308,3", "--classical"),
 ])
 def test_non_finite_times_are_refused(capsys, argv):
     _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--n", "4", "--generator", "1,1,1,1"),
+    ("limit", "--n", "4", "--generator", "1,1,1,1", "--weight", "2"),
+    ("limit", "--n", "4", "--generator", "2,1,1", "--weight", "0"),
+    ("spectrum", "--n", "4", "--generator", "2,1,1", "--generator", "3,1", "--weight", "0",
+     "--weight", "0"),
+])
+def test_generators_that_cannot_move_the_walk_are_refused(capsys, argv):
+    _assert_json_error(*run_cli(capsys, *argv), 1)
+
+
+def test_identity_beside_a_moving_generator_is_a_walk(capsys):
+    code, out, err = run_cli(capsys, "limit", "--n", "4", "--generator", "1,1,1,1",
+                             "--generator", "2,1,1")
+    assert code == 0 and err == "" and json.loads(out)["classes"]
 
 
 def test_grid_step_count_is_capped(capsys):

@@ -20,7 +20,7 @@ from symwalk.partitions import enumerate_partitions
 TIMES = (("0", "0.7", "3.1", "-0.5", "1e17", "1e300", "1e308", "-1e308"),
          ("nan", "inf", "-inf", "x"))
 WEIGHTS = (("1", "1/3", "2", "0", "1e400"), ("-1", "1/0", "nan", "x"))
-GRIDS = (("1", "5", "0,1,3", "1,0,2", "0,1e308,2"),
+GRIDS = (("1", "5", "0,1,3", "1,0,2", "0,1e308,2", "0,1e308,3"),
          ("0,inf,2", "nan,1,2", "0,1,0", "0,1,10001", "10001", "0,1", "a,b,c"))
 AVERAGES = (("6.28,16", "6.28,10000"), ("6.28,10001", "inf,4", "0,4", "6.28,0", "6.28", "x,y"))
 SAMPLES = (("1", "3"), ("0", "-2", "10001", "20000"))

@@ -10,7 +10,6 @@ from symwalk.limiting import (
     eigenvalue_groups,
     limiting_class_distribution,
     table_ncycle_case,
-    table_ncycle_probability,
     time_averaged_distribution,
     tv_distance,
 )
@@ -106,7 +105,7 @@ def test_limiting_from_non_identity_start():
 
 def test_table_p2_and_zero_rows():
     for n in range(2, 11):
-        assert table_ncycle_probability(n, 2) == Fraction(
+        assert table_ncycle_case(n, 2)[1] == Fraction(
             comb(2 * n - 2, n - 1), factorial(n) ** 2
         )
     for n in (4, 6, 8, 10):
@@ -129,9 +128,9 @@ def test_table_example_n9_p6():
 
 def test_table_domain():
     with pytest.raises(DomainError):
-        table_ncycle_probability(6, 1)
+        table_ncycle_case(6, 1)
     with pytest.raises(DomainError):
-        table_ncycle_probability(6, 7)
+        table_ncycle_case(6, 7)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -141,15 +140,15 @@ def test_table_certified_against_grouping_engine(n):
     for p in range(2, n + 1):
         spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
         exact = limiting_class_distribution(spec, ident)
-        assert table_ncycle_probability(n, p) == exact.per_element[ncycle], (n, p)
+        assert table_ncycle_case(n, p)[1] == exact.per_element[ncycle], (n, p)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_transposition_value_shared_by_low_even_p(n):
     want = Fraction(comb(2 * n - 2, n - 1), factorial(n) ** 2)
-    assert table_ncycle_probability(n, 2) == want
+    assert table_ncycle_case(n, 2)[1] == want
     if n % 2 == 0:
-        assert table_ncycle_probability(n, n) == want
+        assert table_ncycle_case(n, n)[1] == want
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -224,6 +224,13 @@ def test_classical_keeps_its_mass_at_large_times(n):
                 assert abs(p - dense[lam]) < 1e-9
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_classical_refuses_a_non_finite_time(t):
+    walk = build_cayley(3, Partition((2, 1)))
+    with pytest.raises(DomainError):
+        evolve_classical(walk, identity_partition(3), t)
+
+
 def test_quantum_refuses_an_overflowing_phase():
     walk = build_cayley(3, Partition((2, 1)))
     evolve_quantum(walk, identity_partition(3), 1e307)

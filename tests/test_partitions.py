@@ -64,7 +64,22 @@ def test_invalid_partitions_rejected():
     with pytest.raises(InvalidPartitionError):
         Partition((2, 0))
     with pytest.raises(InvalidPartitionError):
+        Partition([3, -1])
+    with pytest.raises(InvalidPartitionError):
+        Partition([1, 2, 2])
+    with pytest.raises(InvalidPartitionError):
         Partition.parse("2,x")
+
+
+@given(partitions_st)
+def test_partition_is_an_immutable_value(lam):
+    copy = Partition(list(lam.parts))
+    assert copy.parts == lam.parts and isinstance(copy.parts, tuple)
+    assert copy == lam and hash(copy) == hash(lam)
+    assert lam != lam.parts
+    assert Partition.parse(str(lam)) == lam
+    with pytest.raises(AttributeError):
+        lam.parts = (1,)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -280,3 +280,11 @@ def test_overflowing_phase_is_refused():
     far = classical_class_distribution(spec, identity_partition(4), 1e308)
     for lam, p in far.probs.items():
         assert p == pytest.approx(class_size(lam) / 24, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_classical_refuses_a_non_finite_time(t):
+    # At t = inf the stationary group's decay would be e^{-inf * 0}, NaN.
+    spec = spectrum(4, ClassFunction.transpositions(4))
+    with pytest.raises(DomainError):
+        classical_class_distribution(spec, identity_partition(4), t)
