@@ -38,7 +38,6 @@ from .walk_spectrum import (
     class_amplitude,
     class_distribution,
     classical_class_distribution,
-    max_ncycle_probability,
     ncycle_amplitude_closed_form,
     spectrum,
 )

@@ -15,8 +15,6 @@ test suite.  Everything here is big-integer exact; no floats.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -136,23 +134,6 @@ class CharacterTable:
 
     def column(self, lam: Partition) -> tuple[int, ...]:
         return self.columns[self.classes.index(lam)]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + [str(lam) for lam in self.classes])
-        for nu, row in zip(self.classes, zip(*self.columns)):
-            writer.writerow([str(nu)] + [str(v) for v in row])
-        return out.getvalue()
-
-    def to_json_dict(self) -> dict:
-        # Integers as decimal strings so consumers without bigints survive.
-        return {
-            "n": self.n,
-            "classes": [list(lam.parts) for lam in self.classes],
-            "reps": [list(nu.parts) for nu in self.classes],
-            "entries": [[str(v) for v in row] for row in zip(*self.columns)],
-        }
 
 
 def character_table(n: int) -> CharacterTable:

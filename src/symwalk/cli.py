@@ -12,6 +12,8 @@ angles are radians.  ``SYMWALK_MAX_N`` overrides the resource caps.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import re
@@ -271,7 +273,18 @@ def _json(payload) -> str:
 
 def _cmd_characters(cfg: argparse.Namespace) -> int:
     table = character_table(cfg.n)
-    _emit(cfg, table.to_csv() if cfg.format == "csv" else _json(table.to_json_dict()))
+    rows = list(zip(*table.columns))  # one row per irrep, in the order of the classes
+    if cfg.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([""] + [str(lam) for lam in table.classes])
+        writer.writerows([str(nu), *row] for nu, row in zip(table.classes, rows))
+        _emit(cfg, out.getvalue())
+        return 0
+    # Integers as decimal strings so consumers without bigints survive.
+    parts = [list(lam.parts) for lam in table.classes]
+    _emit(cfg, _json({"n": cfg.n, "classes": parts, "reps": parts,
+                      "entries": [[str(v) for v in row] for row in rows]}))
     return 0
 
 

@@ -12,8 +12,8 @@ Everything on this route is a big-integer/rational identity; the only
 collision detection is equality of exact rationals, never floats.
 
 The closed-form n-cycle table for p-cycle generators is implemented
-separately in ``table_ncycle_case`` purely as an independent
-cross-check on the grouping engine.
+separately in ``table_ncycle_case``: it drives the ``table`` command
+and, independent of the grouping engine, cross-checks it.
 """
 
 from __future__ import annotations
@@ -104,26 +104,19 @@ def tv_distance(dist: ClassDistribution, support: Support = "symmetric_group") -
 
     Both distributions are constant on classes, so the half-L1 sum runs
     classwise and stays exact.  Alternating support is only meaningful
-    when every odd class carries zero probability.
+    when every odd class carries zero probability; for n <= 1, A_n = S_n.
     """
-    n = dist.n
-    nfact = factorial(n)
-    if support == "symmetric_group":
-        uniform = {lam: Fraction(class_size(lam), nfact) for lam in dist.probs}
-    elif support == "alternating_group":
-        odd_mass = sum(
-            (p for lam, p in dist.probs.items() if not is_even_class(lam)), Fraction(0)
-        )
-        if odd_mass != 0:
-            raise SupportMismatchError(
-                "alternating-group support requested but odd classes carry mass"
-            )
-        uniform = {
-            lam: Fraction(2 * class_size(lam), nfact) if is_even_class(lam) else Fraction(0)
-            for lam in dist.probs
-        }
-    else:
+    if support not in ("symmetric_group", "alternating_group"):
         raise DomainError(f"unknown support {support!r}")
+    alternating = support == "alternating_group" and dist.n >= 2
+    odd_mass = sum((p for lam, p in dist.probs.items() if not is_even_class(lam)), Fraction(0))
+    if alternating and odd_mass != 0:
+        raise SupportMismatchError(
+            "alternating-group support requested but odd classes carry mass"
+        )
+    share = Fraction(1 + alternating, factorial(dist.n))
+    uniform = {lam: share * class_size(lam) if not alternating or is_even_class(lam) else 0
+               for lam in dist.probs}
     return sum((abs(p - uniform[lam]) for lam, p in dist.probs.items()), Fraction(0)) / 2
 
 

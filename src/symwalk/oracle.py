@@ -110,7 +110,9 @@ def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
         raise DomainError(f"time {t!r} overflows the phase t*lambda")
     evals, evecs = walk.eigensystem()
     psi = _start_state(walk, start, quantum=True)
-    return evecs @ (np.exp(1j * t * evals) * (evecs.T @ psi))
+    # evecs is real: the phased coefficients go back as two real products.
+    c = np.exp(1j * t * evals) * (evecs.T @ psi)
+    return evecs @ c.real + 1j * (evecs @ c.imag)
 
 
 def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
@@ -126,8 +128,7 @@ def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     p0 = _start_state(walk, start, quantum=False)
     with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
         decay = np.exp(-t * gaps)
-    out = evecs @ (decay * (evecs.T @ p0))
-    return np.maximum(out.real, 0.0)
+    return np.maximum(evecs @ (decay * (evecs.T @ p0)), 0.0)
 
 
 @dataclass(frozen=True)

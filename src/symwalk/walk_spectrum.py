@@ -36,25 +36,24 @@ from .errors import ConsistencyError, DegenerateGeneratorError, DomainError
 from .partitions import Partition, class_size, enumerate_partitions, identity_partition
 
 
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
     """Rational weights on the conjugacy classes of S_n, finitely supported.
 
     The common case is the indicator of a single generator class; general
     weighted mixtures are accepted everywhere the math allows them.
+    Zero weights are dropped.
     """
 
-    def __init__(self, n: int, weights: dict[Partition, Fraction]):
-        self.n = n
-        clean: dict[Partition, Fraction] = {}
-        for lam, w in weights.items():
-            if lam.n != n:
-                raise DomainError(f"{lam} is not a partition of {n}")
-            w = Fraction(w)
-            if w != 0:
-                clean[lam] = w
-        # Canonical key order keeps downstream serialization deterministic.
-        order = {p: i for i, p in enumerate(enumerate_partitions(n))}
-        self.weights = dict(sorted(clean.items(), key=lambda kv: order[kv[0]]))
+    n: int
+    weights: dict[Partition, Fraction]
+
+    def __post_init__(self):
+        for lam in self.weights:
+            if lam.n != self.n:
+                raise DomainError(f"{lam} is not a partition of {self.n}")
+        weights = {lam: Fraction(w) for lam, w in self.weights.items()}
+        object.__setattr__(self, "weights", {lam: w for lam, w in weights.items() if w})
 
     @classmethod
     def indicator(cls, gamma: Partition) -> "ClassFunction":
@@ -63,22 +62,12 @@ class ClassFunction:
             raise DegenerateGeneratorError("the identity class does not generate a walk")
         return cls(gamma.n, {gamma: Fraction(1)})
 
-    @classmethod
-    def transpositions(cls, n: int) -> "ClassFunction":
-        if n < 2:
-            raise DomainError("transpositions need n >= 2")
-        return cls.indicator(Partition((2,) + (1,) * (n - 2)))
-
     def is_single_class_indicator(self) -> bool:
         return len(self.weights) == 1 and next(iter(self.weights.values())) == 1
 
     def degree(self) -> Fraction:
         """sum_gamma |C_gamma| f(gamma); the graph degree for indicators."""
         return sum((class_size(g) * w for g, w in self.weights.items()), Fraction(0))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{g}: {w}" for g, w in self.weights.items())
-        return f"ClassFunction(n={self.n}, {{{body}}})"
 
 
 def eigenvalue_float(value: Fraction) -> float:
@@ -282,10 +271,3 @@ def ncycle_amplitude_closed_form(n: int, t: float) -> complex:
         raise DomainError("closed form needs n >= 2")
     return (2j * math.sin(t * n / 2)) ** (n - 1) / math.sqrt(n * factorial(n))
 
-
-def max_ncycle_probability(n: int) -> Fraction:
-    """max_t of the identity-to-class-(n) probability: 2^(2n-2)/(n*n!),
-    attained at t = (2k+1)*pi/n."""
-    if n < 2:
-        raise DomainError("needs n >= 2")
-    return Fraction(2 ** (2 * n - 2), n * factorial(n))

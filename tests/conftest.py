@@ -1,11 +1,15 @@
-"""Shared brute-force oracles, independent of the library's own paths."""
+"""Shared brute-force oracles, independent of the library's own paths,
+and the closed forms and walks the tests share."""
 
 import itertools
+from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 
 from symwalk.partitions import Partition, cycle_type
+from symwalk.walk_spectrum import ClassFunction
 
 
 @cache
@@ -35,3 +39,14 @@ def brute_class_counts(n: int) -> dict:
 @pytest.fixture
 def count_oracle():
     return partition_count
+
+
+def transpositions(n: int) -> ClassFunction:
+    """The indicator of the transposition class (2,1,...,1)."""
+    return ClassFunction.indicator(Partition((2,) + (1,) * (n - 2)))
+
+
+def max_ncycle_probability(n: int) -> Fraction:
+    """max_t of the identity-to-class-(n) probability under transpositions:
+    2^(2n-2)/(n*n!), attained at t = (2k+1)*pi/n."""
+    return Fraction(2 ** (2 * n - 2), n * factorial(n))

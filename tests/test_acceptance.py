@@ -42,10 +42,11 @@ from symwalk.walk_spectrum import (
     class_amplitude,
     class_distribution,
     classical_class_distribution,
-    max_ncycle_probability,
     ncycle_amplitude_closed_form,
     spectrum,
 )
+
+from conftest import max_ncycle_probability, transpositions
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -79,7 +80,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_sine_closed_form():
     worst = 0.0
     for n in range(2, 10):
-        spec = spectrum(n, ClassFunction.transpositions(n))
+        spec = spectrum(n, transpositions(n))
         ident = identity_partition(n)
         ncycle = Partition((n,))
         for j in range(64):
@@ -90,7 +91,7 @@ def test_criterion_2_sine_closed_form():
             )
             worst = max(worst, gap)
     exact_peak = max_ncycle_probability(3) == Fraction(8, 9)
-    spec3 = spectrum(3, ClassFunction.transpositions(3))
+    spec3 = spectrum(3, transpositions(3))
     peak = class_distribution(spec3, identity_partition(3), math.pi / 3)
     numeric_peak = abs(peak.probs[Partition((3,))] - 8 / 9) <= 1e-12
     report(
@@ -185,7 +186,7 @@ def test_criterion_8_tv_bounds():
     details = []
     for n in range(2, 10):
         ident = identity_partition(n)
-        spec = spectrum(n, ClassFunction.transpositions(n))
+        spec = spectrum(n, transpositions(n))
         tv = tv_distance(limiting_class_distribution(spec, ident), "symmetric_group")
         bound = Fraction(1, n) - Fraction(comb(2 * n - 2, n - 1), n * factorial(n))
         assert tv >= bound, (n, tv, bound)
@@ -210,7 +211,7 @@ def test_criterion_8_tv_bounds():
 
 def test_criterion_9_classical_sanity():
     ident = identity_partition(4)
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     dist = classical_class_distribution(spec, ident, 50.0)
     uniform_gap = max(abs(per - 1 / 24) for per in dist.per_element.values())
     walk = build_cayley(4, Partition((2, 1, 1)))
@@ -233,7 +234,7 @@ def test_criterion_10_tv_reported_not_matched():
     lines = []
     for n in range(2, 10):
         ident = identity_partition(n)
-        spec = spectrum(n, ClassFunction.transpositions(n))
+        spec = spectrum(n, transpositions(n))
         tv = tv_distance(limiting_class_distribution(spec, ident), "symmetric_group")
         bound = Fraction(1, n) - Fraction(comb(2 * n - 2, n - 1), n * factorial(n))
         assert tv >= bound

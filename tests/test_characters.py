@@ -15,6 +15,7 @@ from symwalk.characters import (
     check_orthogonality,
     dimension,
 )
+from symwalk.cli import main
 from symwalk.errors import DomainError, ResourceLimitError, SizeMismatchError
 from symwalk.partitions import (
     Partition,
@@ -249,18 +250,18 @@ def test_regular_representation_trace(n):
         assert total == (factorial(n) if lam == ident else 0)
 
 
-def test_csv_serialization():
-    table = character_table(3)
-    lines = table.to_csv().splitlines()
+def test_csv_serialization(capsys):
+    assert main(["characters", "--n", "3", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ',3,"2,1","1,1,1"'
     assert lines[1] == "3,1,1,1"
     assert lines[2] == '"2,1",-1,0,2'
     assert lines[3] == '"1,1,1",1,-1,1'
 
 
-def test_json_serialization_uses_strings():
-    payload = character_table(4).to_json_dict()
+def test_json_serialization_uses_strings(capsys):
+    assert main(["characters", "--n", "4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4
     assert payload["classes"][0] == [4]
     assert all(isinstance(v, str) for row in payload["entries"] for v in row)
-    json.dumps(payload)  # must be serializable as-is

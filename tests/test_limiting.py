@@ -25,6 +25,8 @@ from symwalk.partitions import (
 from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, spectrum
 
+from conftest import transpositions
+
 
 def hook_ratio(n, k, gamma_spec):
     rec = next(r for r in gamma_spec.records if r.rep == hook(n, k))
@@ -32,7 +34,7 @@ def hook_ratio(n, k, gamma_spec):
 
 
 def test_groups_s3_transpositions_all_distinct():
-    spec = spectrum(3, ClassFunction.transpositions(3))
+    spec = spectrum(3, transpositions(3))
     groups = eigenvalue_groups(spec)
     assert sorted(len(g) for g in groups.groups) == [1, 1, 1]
 
@@ -73,7 +75,7 @@ def test_hook_collisions_n5_p3():
 
 
 def test_limiting_s3_transpositions():
-    spec = spectrum(3, ClassFunction.transpositions(3))
+    spec = spectrum(3, transpositions(3))
     exact = limiting_class_distribution(spec, identity_partition(3))
     assert exact.per_element[Partition((3,))] == Fraction(comb(4, 2), 36)
     assert exact.per_element[Partition((3,))] == Fraction(1, 6)
@@ -98,7 +100,7 @@ def test_limiting_totals_exact(n):
 
 
 def test_limiting_from_non_identity_start():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     exact = limiting_class_distribution(spec, Partition((2, 2)))
     assert sum(exact.probs.values()) == 1
 
@@ -180,8 +182,18 @@ def test_tv_uniform_is_zero():
     assert tv_distance(dist, "symmetric_group") == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tv_of_the_identity_point_mass(n):
+    # A_n = S_n for n <= 1, so both supports see the identity as uniform.
+    ident = identity_partition(n)
+    dist = limiting_class_distribution(spectrum(n, ClassFunction(n, {})), ident)
+    want = 0 if n < 2 else Fraction(1, 2)
+    assert tv_distance(dist, "symmetric_group") == want
+    assert tv_distance(dist, "alternating_group") == 0
+
+
 def test_tv_bound_n7_transpositions():
-    spec = spectrum(7, ClassFunction.transpositions(7))
+    spec = spectrum(7, transpositions(7))
     exact = limiting_class_distribution(spec, identity_partition(7))
     tv = tv_distance(exact, "symmetric_group")
     assert tv >= Fraction(1, 7) - Fraction(4096, 7 * factorial(7)) > 0
@@ -201,14 +213,14 @@ def test_tv_alternating_bound_n5_p3():
 
 
 def test_tv_support_mismatch():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     exact = limiting_class_distribution(spec, identity_partition(4))
     with pytest.raises(SupportMismatchError):
         tv_distance(exact, "alternating_group")
 
 
 def test_time_average_converges_to_exact():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     ident = identity_partition(4)
     exact = limiting_class_distribution(spec, ident)
     avg = time_averaged_distribution(spec, ident, 2 * math.pi, 4096)
@@ -217,14 +229,14 @@ def test_time_average_converges_to_exact():
 
 
 def test_time_average_short_horizon_is_start():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     ident = identity_partition(4)
     avg = time_averaged_distribution(spec, ident, 1e-9, 1)
     assert abs(avg.probs[ident] - 1) < 1e-12
 
 
 def test_time_average_periodicity():
-    spec = spectrum(5, ClassFunction.transpositions(5))
+    spec = spectrum(5, transpositions(5))
     ident = identity_partition(5)
     a = time_averaged_distribution(spec, ident, 2 * math.pi, 512)
     b = time_averaged_distribution(spec, ident, 20 * math.pi, 5120)
@@ -246,7 +258,7 @@ def test_limiting_matches_oracle_cesaro(n):
 
 def test_kernel_limit_matches_per_pair_grouping_n14():
     n = 14
-    spec = spectrum(n, ClassFunction.transpositions(n))
+    spec = spectrum(n, transpositions(n))
     mu = identity_partition(n)
     exact = limiting_class_distribution(spec, mu)
     table = character_table(n)

@@ -27,6 +27,8 @@ from symwalk.partitions import (
 from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, spectrum
 
+from conftest import transpositions
+
 
 def test_n2_single_edge():
     walk = build_cayley(2, Partition((2,)))
@@ -198,7 +200,7 @@ def test_classical_matches_spectral_engine():
     from symwalk.walk_spectrum import classical_class_distribution
 
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     ident = identity_partition(4)
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))

@@ -22,10 +22,11 @@ from symwalk.walk_spectrum import (
     class_amplitude,
     class_distribution,
     classical_class_distribution,
-    max_ncycle_probability,
     ncycle_amplitude_closed_form,
     spectrum,
 )
+
+from conftest import max_ncycle_probability, transpositions
 
 
 def test_class_function_validation():
@@ -33,13 +34,24 @@ def test_class_function_validation():
         ClassFunction.indicator(identity_partition(3))
     with pytest.raises(DomainError):
         ClassFunction(4, {Partition((2, 1)): Fraction(1)})
-    f = ClassFunction.transpositions(4)
+    f = transpositions(4)
     assert f.is_single_class_indicator()
     assert f.degree() == 6
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0), "0"])
+def test_class_function_is_a_frozen_value(zero):
+    f = ClassFunction(4, {hook(4, 2): zero, hook(4, 3): "1/2"})
+    assert f.weights == {hook(4, 3): Fraction(1, 2)}
+    assert hash(f) == hash(f)
+    with pytest.raises(AttributeError):
+        f.n = 5
+    with pytest.raises(DomainError):
+        ClassFunction(4, {hook(4, 2): 1, Partition((2, 1)): zero})
+
+
 def test_spectrum_s3_transpositions():
-    spec = spectrum(3, ClassFunction.transpositions(3))
+    spec = spectrum(3, transpositions(3))
     eigs = {str(r.rep): r.eigenvalue for r in spec.records}
     assert eigs == {"3": 3, "2,1": 0, "1,1,1": -3}
 
@@ -52,7 +64,7 @@ def test_spectrum_zero_function():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transposition_eigenvalues_closed_form(n):
     # E_nu = sum_j (C(nu_j,2) - C(nu'_j,2)) for the transposition walk
-    spec = spectrum(n, ClassFunction.transpositions(n))
+    spec = spectrum(n, transpositions(n))
     for rec in spec.records:
         conj = transpose(rec.rep)
         want = sum(binom(p, 2) for p in rec.rep.parts) - sum(binom(p, 2) for p in conj.parts)
@@ -76,7 +88,7 @@ def test_weighted_class_function_allows_rationals():
 
 
 def test_amplitude_at_time_zero_is_kronecker():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     for lam in enumerate_partitions(4):
         for mu in enumerate_partitions(4):
             amp = class_amplitude(spec, lam, mu, 0.0)
@@ -85,7 +97,7 @@ def test_amplitude_at_time_zero_is_kronecker():
 
 
 def test_amplitude_s3_closed_form_value():
-    spec = spectrum(3, ClassFunction.transpositions(3))
+    spec = spectrum(3, transpositions(3))
     amp = class_amplitude(spec, Partition((3,)), identity_partition(3), math.pi / 3)
     assert abs(amp - (-4 / math.sqrt(18))) < 1e-12
 
@@ -104,7 +116,7 @@ def test_amplitude_symmetry_and_bound():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_class_level_unitarity(n):
-    spec = spectrum(n, ClassFunction.transpositions(n))
+    spec = spectrum(n, transpositions(n))
     for mu in (identity_partition(n), Partition((n,))):
         for t in (0.0, 0.5, 2.0, 5.9):
             dist = class_distribution(spec, mu, t)
@@ -121,13 +133,13 @@ def test_periodicity():
 
 
 def test_distribution_t0_is_start_indicator():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     dist = class_distribution(spec, identity_partition(4), 0.0)
     assert abs(dist.probs[identity_partition(4)] - 1) < 1e-12
 
 
 def test_distribution_s3_peak():
-    spec = spectrum(3, ClassFunction.transpositions(3))
+    spec = spectrum(3, transpositions(3))
     dist = class_distribution(spec, identity_partition(3), math.pi / 3)
     assert abs(dist.probs[Partition((3,))] - 8 / 9) < 1e-12
     assert abs(dist.per_element[Partition((3,))] - 4 / 9) < 1e-12
@@ -135,7 +147,7 @@ def test_distribution_s3_peak():
 
 def test_distribution_matches_oracle_n4():
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     dense = class_aggregate(walk, evolve_quantum(walk, identity_partition(4), 0.7))
     dist = class_distribution(spec, identity_partition(4), 0.7)
     for lam, p in dist.probs.items():
@@ -162,7 +174,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_matches_spectral_sum_n4():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     amp = class_amplitude(spec, Partition((4,)), identity_partition(4), 0.3)
     assert abs(amp - ncycle_amplitude_closed_form(4, 0.3)) < 1e-12
 
@@ -185,7 +197,7 @@ def test_max_ncycle_probability_attained_numerically():
 
 
 def test_classical_t0_and_uniform_limit():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     ident = identity_partition(4)
     d0 = classical_class_distribution(spec, ident, 0.0)
     assert abs(d0.probs[ident] - 1) < 1e-12
@@ -197,7 +209,7 @@ def test_classical_t0_and_uniform_limit():
 
 def test_classical_matches_dense_exponential():
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     ident = identity_partition(4)
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
@@ -233,7 +245,7 @@ def _grouped_phase_sum(spec, table, lam, mu, phase):
 
 def test_kernel_matches_per_pair_phase_sum_n14():
     n = 14
-    spec = spectrum(n, ClassFunction.transpositions(n))
+    spec = spectrum(n, transpositions(n))
     table = character_table(n)
     nfact = factorial(n)
     d = spec.f.degree()
@@ -254,7 +266,7 @@ def test_kernel_matches_per_pair_phase_sum_n14():
 
 def test_ncycle_amplitude_matches_closed_form_n14():
     n = 14
-    spec = spectrum(n, ClassFunction.transpositions(n))
+    spec = spectrum(n, transpositions(n))
     for j in range(64):
         t = 2 * math.pi * j / 64
         amp = class_amplitude(spec, Partition((n,)), identity_partition(n), t)
@@ -262,7 +274,7 @@ def test_ncycle_amplitude_matches_closed_form_n14():
 
 
 def test_kernel_is_built_once_per_start():
-    spec = spectrum(6, ClassFunction.transpositions(6))
+    spec = spectrum(6, transpositions(6))
     mu = Partition((3, 3))
     assert spec.kernel(mu) is spec.kernel(mu)
     assert spec.kernel(mu) is not spec.kernel(identity_partition(6))
@@ -271,7 +283,7 @@ def test_kernel_is_built_once_per_start():
 
 
 def test_overflowing_phase_is_refused():
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     with pytest.raises(DomainError):
         class_distribution(spec, identity_partition(4), 1e308)
     with pytest.raises(DomainError):
@@ -285,6 +297,6 @@ def test_overflowing_phase_is_refused():
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_classical_refuses_a_non_finite_time(t):
     # At t = inf the stationary group's decay would be e^{-inf * 0}, NaN.
-    spec = spectrum(4, ClassFunction.transpositions(4))
+    spec = spectrum(4, transpositions(4))
     with pytest.raises(DomainError):
         classical_class_distribution(spec, identity_partition(4), t)
