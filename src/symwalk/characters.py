@@ -59,8 +59,11 @@ def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
 
 
 def _power_sum(lam: Partition) -> dict[int, int]:
-    """The Schur expansion of p_lam: chi_nu(lam) at nu's abacus."""
-    return reduce(_times_power_sum, lam.parts, {(1 << lam.n) - 1: 1})
+    """The Schur expansion of p_lam: chi_nu(lam) at nu's abacus.
+
+    The parts fold smallest first, the order ``character_table`` uses.
+    """
+    return reduce(_times_power_sum, reversed(lam.parts), {(1 << lam.n) - 1: 1})
 
 
 def character(nu: Partition, lam: Partition) -> int:
@@ -139,22 +142,28 @@ class CharacterTable:
 def character_table(n: int) -> CharacterTable:
     """Materialize the full p(n) x p(n) table (default cap n <= 14).
 
-    The columns fold depth-first in canonical order: a class's part
-    prefix is multiplied out once and shared by every class that extends
-    it, and only the current path of expansions is alive.
+    The columns fold smallest parts first, depth-first: a prefix is a
+    multiset of a class's smallest parts, multiplied out once and shared
+    by every class that extends it.  A prefix takes a part r no smaller
+    than its largest only when r leaves 0, or at least r for the parts
+    after it, so every prefix finishes as a class.  The expensive steps
+    near a leaf then multiply by large parts, which move few beads, and
+    only the current path of expansions is alive.
     """
     check_cap(n, CHARACTER_TABLE_CAP, "character table")
     parts = tuple(enumerate_partitions(n))
     rows = [_abacus(nu) for nu in parts]
-    columns = []
+    position = {lam.parts: k for k, lam in enumerate(parts)}
+    columns: list[tuple[int, ...]] = [()] * len(parts)
 
-    def extend(expansion: dict[int, int], remaining: int, largest: int) -> None:
+    def extend(expansion: dict[int, int], prefix: tuple[int, ...], remaining: int) -> None:
         if not remaining:
-            columns.append(tuple(expansion.get(row, 0) for row in rows))
-        for r in range(min(remaining, largest), 0, -1):
-            extend(_times_power_sum(expansion, r), remaining - r, r)
+            columns[position[prefix]] = tuple(expansion.get(row, 0) for row in rows)
+            return
+        for r in (*range(prefix[0] if prefix else 1, remaining // 2 + 1), remaining):
+            extend(_times_power_sum(expansion, r), (r,) + prefix, remaining - r)
 
-    extend({(1 << n) - 1: 1}, n, n)
+    extend({(1 << n) - 1: 1}, (), n)
     return CharacterTable(n=n, classes=parts, columns=tuple(columns))
 
 

@@ -133,7 +133,9 @@ def build_parser() -> _Parser:
     when.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
     when.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
                       help="sweep; emits CSV rows t,class,probability; a bare "
-                           "STEPS count sweeps the full period [0, 2*pi]")
+                           "STEPS count sweeps [0, 2*pi], one full period of a "
+                           "single-class generator (a weighted walk may need "
+                           "explicit ends)")
     p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")

@@ -9,7 +9,8 @@ s o g for every vertex g at once is ``s[perms - 1]``, ranked by a
 lexicographic code.  The dense real-symmetric adjacency matrix is
 eigendecomposed once (lazily) and the factorization is reused across
 every evolution time, both quantum e^{itA} and classical e^{-tL}, and
-by the Cesaro limit.
+by the Cesaro limit; so is each quantum start state's projection onto
+the eigenbasis.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
@@ -47,6 +48,7 @@ class DenseWalk:
     class_index: np.ndarray
     adjacency: np.ndarray
     _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _coefficients: dict[Partition, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def degree(self) -> int:
@@ -58,6 +60,14 @@ class DenseWalk:
             evals, evecs = np.linalg.eigh(self.adjacency)
             self._eigensystem = (evals, evecs)
         return self._eigensystem
+
+    def coefficients(self, start: Partition) -> np.ndarray:
+        """The quantum start state of ``start`` in the eigenbasis, which no
+        evolution time changes."""
+        if start not in self._coefficients:
+            evecs = self.eigensystem()[1]
+            self._coefficients[start] = evecs.T @ _start_state(self, start, quantum=True)
+        return self._coefficients[start]
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
@@ -109,9 +119,8 @@ def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
         raise DomainError(f"time {t!r} overflows the phase t*lambda")
     evals, evecs = walk.eigensystem()
-    psi = _start_state(walk, start, quantum=True)
     # evecs is real: the phased coefficients go back as two real products.
-    c = np.exp(1j * t * evals) * (evecs.T @ psi)
+    c = np.exp(1j * t * evals) * walk.coefficients(start)
     return evecs @ c.real + 1j * (evecs @ c.imag)
 
 
@@ -169,7 +178,7 @@ def limiting_distribution(walk: DenseWalk, start: Partition) -> dict[Partition, 
     Clusters are split at gaps above ``CLUSTER_TOL``.
     """
     evals, evecs = walk.eigensystem()
-    weights = evecs.T @ _start_state(walk, start, quantum=True)
+    weights = walk.coefficients(start)
     order = np.argsort(evals)
     gaps = np.flatnonzero(np.diff(evals[order]) > CLUSTER_TOL) + 1
     probs = np.zeros(len(walk.vertices))

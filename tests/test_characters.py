@@ -55,12 +55,32 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return total
 
 
-@pytest.mark.parametrize("n", range(0, 13))
+@pytest.mark.parametrize("n", range(0, 15))
 def test_table_equals_the_reference_recursion(n):
     parts = enumerate_partitions(n)
     assert character_table(n).columns == tuple(
         tuple(_mn(nu.parts, lam.parts) for nu in parts) for lam in parts
     )
+
+
+@pytest.mark.parametrize("n, folds", [(10, 83), (14, 269)])
+def test_table_folds_smallest_parts_first(monkeypatch, n, folds):
+    calls = []
+    original = characters._times_power_sum
+
+    def counted(expansion, r):
+        calls.append(r)
+        return original(expansion, r)
+
+    monkeypatch.setattr(characters, "_times_power_sum", counted)
+    character_table(n)
+    assert len(calls) == folds
+
+
+def test_every_column_equals_the_table_n14():
+    table = character_table(14)
+    for lam in table.classes:
+        assert character_column(lam) == table.column(lam)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -33,6 +33,20 @@ def test_each_graph_is_built_and_diagonalised_once(monkeypatch):
     assert (names[0], names[1], names[-1]) == ORACLE_CHECKS and len(names) == 11
 
 
+def test_each_start_state_is_projected_once_per_graph(monkeypatch):
+    starts = []
+    original = oracle._start_state
+
+    def counted(walk, start, quantum):
+        starts.append(quantum)
+        return original(walk, start, quantum)
+
+    monkeypatch.setattr(oracle, "_start_state", counted)
+    verify.run_suite(4)
+    # one quantum start per generator class; each classical time builds its own
+    assert starts.count(True) == 4 and starts.count(False) == 12
+
+
 def _offset_aggregate(original):
     def offset(walk, vec):
         agg = original(walk, vec)
