@@ -487,7 +487,12 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = _parse_args(parser.parse_args(argv))
-    return _COMMANDS[args.subcommand](args)
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except ModuleNotFoundError as exc:  # the float commands import numpy when they run
+        if exc.name != "numpy":
+            raise
+        raise ResourceLimitError(f"{args.subcommand} needs numpy, which is not installed") from None
 
 
 def main(argv=None) -> int:

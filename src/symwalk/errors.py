@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all symwalk engines.
 
 Exit codes used by the CLI: 1 usage/domain, 2 internal verification
-failure, 3 resource-limit refusal.
+failure, 3 resource-limit refusal or missing numpy.
 """
 
 
@@ -36,7 +36,8 @@ class SupportMismatchError(DomainError):
 
 
 class ResourceLimitError(SymwalkError):
-    """Requested n exceeds a configured cap."""
+    """Requested n exceeds a configured cap, or a float command runs
+    without numpy."""
 
     exit_code = 3
 

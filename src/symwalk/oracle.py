@@ -6,11 +6,15 @@ class.  Every walk starts uniform on a conjugacy class: the graph is
 vertex-transitive, so a walk from one permutation g is the walk from
 the identity relabelled by g.  The graph is built from index arrays:
 s o g for every vertex g at once is ``s[perms - 1]``, ranked by a
-lexicographic code.  The dense real-symmetric adjacency matrix is
-eigendecomposed once (lazily) and the factorization is reused across
-every evolution time, both quantum e^{itA} and classical e^{-tL}, and
-by the Cesaro limit; so is each quantum start state's projection onto
-the eigenbasis.
+lexicographic code.
+
+A class-uniform start never leaves its Krylov subspace, which lies in
+the class functions and so has at most p(n) dimensions.  One Lanczos
+run per start class, by products with the literal adjacency matrix,
+gives the exact spectral decomposition of the start inside it (Saad,
+SIAM J. Numer. Anal. 29, 1992); it is reused across every evolution
+time, both quantum e^{itA} and classical e^{-tL}, and by the Cesaro
+limit.  No character theory enters.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
@@ -31,11 +35,18 @@ from .partitions import Partition, class_size, cycle_type, enumerate_partitions,
 # Eigenvalues of the Cesaro limit closer than this form one cluster; the
 # true spectrum is integral for single-class generators.
 CLUSTER_TOL = 1e-6
+# A Lanczos vector whose norm after reorthogonalisation is at most this
+# times the degree (the spectral radius) closes the Krylov subspace.
+KRYLOV_TOL = 1e-10
+
+# Ritz values, Ritz vectors as columns, and the start's coefficients in them.
+Krylov = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
 class DenseWalk:
-    """The literal walk: all n! vertices plus a reusable eigensystem.
+    """The literal walk: all n! vertices plus one reusable Krylov
+    decomposition per start class.
 
     ``classes`` lists the cycle types in canonical order, and
     ``class_index[i]`` is the position in it of vertex i's cycle type.
@@ -47,27 +58,19 @@ class DenseWalk:
     classes: list[Partition]
     class_index: np.ndarray
     adjacency: np.ndarray
-    _eigensystem: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _coefficients: dict[Partition, np.ndarray] = field(default_factory=dict, repr=False)
+    _krylov: dict[Partition, Krylov] = field(default_factory=dict, repr=False)
 
     @property
     def degree(self) -> int:
         return class_size(self.generator)
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, orthonormal eigenvectors) of the adjacency matrix."""
-        if self._eigensystem is None:
-            evals, evecs = np.linalg.eigh(self.adjacency)
-            self._eigensystem = (evals, evecs)
-        return self._eigensystem
-
-    def coefficients(self, start: Partition) -> np.ndarray:
-        """The quantum start state of ``start`` in the eigenbasis, which no
-        evolution time changes."""
-        if start not in self._coefficients:
-            evecs = self.eigensystem()[1]
-            self._coefficients[start] = evecs.T @ _start_state(self, start, quantum=True)
-        return self._coefficients[start]
+    def krylov(self, start: Partition) -> Krylov:
+        """The Lanczos decomposition of the unit-norm start state of
+        ``start``, which no evolution time changes."""
+        if start not in self._krylov:
+            self._krylov[start] = _lanczos(self.adjacency, _start_state(self, start),
+                                           KRYLOV_TOL * self.degree)
+        return self._krylov[start]
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
@@ -79,7 +82,7 @@ def build_cayley(n: int, gamma: Partition) -> DenseWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
     Default cap is n <= 6 (720 vertices); n = 7 only with SYMWALK_MAX_N=7,
-    since its eigensystem peaks near 1.0 GB of RSS.
+    whose dense adjacency alone takes 203 MB.
     """
     check_cap(n, ORACLE_CAP, "dense Cayley graph")
     if gamma.n != n:
@@ -103,41 +106,66 @@ def build_cayley(n: int, gamma: Partition) -> DenseWalk:
                      class_index=class_index, adjacency=adjacency)
 
 
-def _start_state(walk: DenseWalk, start: Partition, quantum: bool) -> np.ndarray:
-    """Start vector uniform on a class: unit norm for amplitudes, unit
-    mass for probabilities."""
+def _start_state(walk: DenseWalk, start: Partition) -> np.ndarray:
+    """The real, unit-norm start vector uniform on a class."""
     if start.n != walk.n:
         raise DomainError(f"start class {start} is not a partition of {walk.n}")
-    members = np.flatnonzero(walk.class_index == walk.classes.index(start))
-    vec = np.zeros(len(walk.vertices), dtype=complex if quantum else float)
-    vec[members] = 1.0 / (np.sqrt(len(members)) if quantum else len(members))
-    return vec
+    members = walk.class_index == walk.classes.index(start)
+    return members / np.sqrt(np.count_nonzero(members))
+
+
+def _lanczos(adjacency: np.ndarray, start: np.ndarray, tol: float) -> Krylov:
+    """Lanczos with full reorthogonalisation from a unit-norm start.
+
+    The basis grows until the next vector's norm falls to ``tol`` (the
+    subspace is invariant) or the basis spans the whole space.
+    """
+    basis = [start]
+    alphas, betas = [], []
+    while True:
+        w = adjacency @ basis[-1]
+        alphas.append(basis[-1] @ w)
+        q = np.array(basis)
+        for _ in range(2):  # one pass leaves rounding in the basis directions
+            w -= q.T @ (q @ w)
+        beta = np.linalg.norm(w)
+        if beta <= tol or len(basis) == len(start):
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    values, vectors = np.linalg.eigh(tridiagonal)
+    return values, q.T @ vectors, vectors[0]
 
 
 def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
-    """e^{itA} applied to the start class state, via the cached eigensystem."""
+    """e^{itA} applied to the start class state, via its cached Krylov
+    decomposition."""
     if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
         raise DomainError(f"time {t!r} overflows the phase t*lambda")
-    evals, evecs = walk.eigensystem()
-    # evecs is real: the phased coefficients go back as two real products.
-    c = np.exp(1j * t * evals) * walk.coefficients(start)
-    return evecs @ c.real + 1j * (evecs @ c.imag)
+    values, vectors, coefficients = walk.krylov(start)
+    # The Ritz vectors are real: the phased coefficients go back as two real products.
+    c = np.exp(1j * t * values) * coefficients
+    return vectors @ c.real + 1j * (vectors @ c.imag)
 
 
 def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
-    """e^{-tL} applied to the start distribution, L = dI - A."""
+    """e^{-tL} applied to the start distribution, L = dI - A.
+
+    The start distribution is the quantum start state over sqrt|C_mu|,
+    so it shares that state's Krylov decomposition.
+    """
     if t < 0:
         raise DomainError("classical walk time must be nonnegative")
     if not np.isfinite(t):  # e^{-t gap} would take inf * 0 on the stationary modes
         raise DomainError(f"time must be a finite number, got {t!r}")
-    evals, evecs = walk.eigensystem()
-    gaps = walk.degree - evals
-    # Stationary modes, as in the Cesaro limit: e^{-t gap} would amplify their eigh rounding.
+    values, vectors, coefficients = walk.krylov(start)
+    gaps = walk.degree - values
+    # Stationary modes, as in the Cesaro limit: e^{-t gap} would amplify their rounding.
     gaps[np.abs(gaps) <= CLUSTER_TOL] = 0.0
-    p0 = _start_state(walk, start, quantum=False)
     with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
         decay = np.exp(-t * gaps)
-    return np.maximum(evecs @ (decay * (evecs.T @ p0)), 0.0)
+    return np.maximum(vectors @ (decay * coefficients) / np.sqrt(class_size(start)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,13 +183,14 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
     informational.
     """
     vec = np.asarray(vec)
-    sums = {}
-    deviation = 0.0
-    for k, lam in enumerate(walk.classes):
-        vals = vec[walk.class_index == k]
-        sums[lam] = float(np.sum(np.abs(vals) ** 2))
-        deviation = max(deviation, float(np.max(np.abs(vals - vals.mean()))))
-    return ClassAggregate(sums=sums, max_class_deviation=deviation)
+    index, count = walk.class_index, len(walk.classes)
+    sums = np.bincount(index, weights=np.abs(vec) ** 2, minlength=count)
+    means = (np.bincount(index, weights=vec.real, minlength=count)
+             + 1j * np.bincount(index, weights=vec.imag, minlength=count))
+    means /= np.bincount(index, minlength=count)
+    deviation = float(np.max(np.abs(vec - means[index])))
+    return ClassAggregate(sums=dict(zip(walk.classes, sums.tolist())),
+                          max_class_deviation=deviation)
 
 
 def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
@@ -171,17 +200,16 @@ def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
 
 
 def limiting_distribution(walk: DenseWalk, start: Partition) -> dict[Partition, float]:
-    """Cesaro time average per class from the dense eigensystem.
+    """Cesaro time average per class from the start's Krylov decomposition.
 
     Averaging kills cross terms between distinct eigenvalues, so the
     limit is sum over eigenvalue clusters of |projection|^2 per vertex.
     Clusters are split at gaps above ``CLUSTER_TOL``.
     """
-    evals, evecs = walk.eigensystem()
-    weights = walk.coefficients(start)
-    order = np.argsort(evals)
-    gaps = np.flatnonzero(np.diff(evals[order]) > CLUSTER_TOL) + 1
+    values, vectors, coefficients = walk.krylov(start)
+    order = np.argsort(values)
+    gaps = np.flatnonzero(np.diff(values[order]) > CLUSTER_TOL) + 1
     probs = np.zeros(len(walk.vertices))
     for block in np.split(order, gaps):
-        probs += np.abs(evecs[:, block] @ weights[block]) ** 2
+        probs += np.abs(vectors[:, block] @ coefficients[block]) ** 2
     return class_sums(walk, probs)

@@ -197,9 +197,9 @@ def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[Check
     One spectrum per generator class feeds every check that needs one;
     a generator whose spectrum fails is left out of the oracle
     comparisons, and every check still reports.
-    The oracle checks share one dense graph and eigensystem per
-    generator class; the quantum one samples t_samples times over one
-    period.
+    The oracle checks share one dense graph and one Krylov
+    decomposition of the identity start per generator class; the quantum
+    one samples t_samples times over one period.
     """
     if n < 2:
         raise DomainError(f"verify needs n >= 2, got {n}")

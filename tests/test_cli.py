@@ -318,6 +318,28 @@ def test_exact_commands_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_float_commands_without_numpy_exit_3_with_one_json_line():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from symwalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=_subprocess_env())
+
+    for argv in (["verify", "--n", "3"], ["oracle", "--n", "3", "--generator", "2,1", "--t", "1"],
+                 ["distribution", "--n", "3", "--generator", "2,1", "--t", "1"],
+                 ["amplitude", "--n", "3", "--generator", "2,1", "--target", "3", "--t", "1"]):
+        proc = run(*argv)
+        _assert_json_error(proc.returncode, proc.stdout, proc.stderr, 3)
+        assert json.loads(proc.stderr)["error"] == f"{argv[0]} needs numpy, which is not installed"
+    proc = run("limit", "--n", "3", "--generator", "2,1")  # exact commands never need it
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_symwalk_max_n_overrides_the_oracle_cap(capsys, monkeypatch):
     monkeypatch.setenv("SYMWALK_MAX_N", "3")
     _assert_json_error(*run_cli(capsys, "oracle", "--n", "4", "--generator", "2,1,1",

@@ -1,9 +1,12 @@
+import json
 import math
 from math import factorial
 
 import numpy as np
 import pytest
 
+from symwalk import oracle, verify
+from symwalk.cli import main
 from symwalk.errors import (
     DegenerateGeneratorError,
     DomainError,
@@ -21,13 +24,19 @@ from symwalk.partitions import (
     Partition,
     class_size,
     cycle_type,
+    enumerate_partitions,
     identity_partition,
     is_even_class,
 )
 from symwalk.verify import generator_classes
-from symwalk.walk_spectrum import ClassFunction, spectrum
+from symwalk.walk_spectrum import (
+    ClassFunction,
+    class_distribution,
+    classical_class_distribution,
+    spectrum,
+)
 
-from conftest import transpositions
+from conftest import partition_count, transpositions
 
 
 def test_n2_single_edge():
@@ -159,10 +168,11 @@ def test_class_constancy_from_identity():
 
 
 def test_non_class_start_reports_deviation():
-    # e^{itA} from one specific transposition, built by hand from the eigensystem
+    # e^{itA} from one specific transposition, built by hand from the full
+    # eigensystem, which the oracle itself never computes
     walk = build_cayley(3, Partition((2, 1)))
     i = walk.vertices.index((2, 1, 3))
-    evals, evecs = walk.eigensystem()
+    evals, evecs = np.linalg.eigh(walk.adjacency)
     psi = evecs @ (np.exp(0.8j * evals) * evecs[i])
     agg = class_aggregate(walk, psi)
     assert agg.max_class_deviation > 1e-3  # not a class function
@@ -260,7 +270,7 @@ def test_quantum_matches_spectral_engine_all_generators(n):
 def test_adjacency_spectrum_matches_engine_multiset(n):
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        evals = np.sort(walk.eigensystem()[0])
+        evals = np.sort(np.linalg.eigh(walk.adjacency)[0])
         spec = spectrum(n, ClassFunction.indicator(gamma))
         multiset = np.sort(
             np.concatenate([[float(r.eigenvalue)] * (r.dim**2) for r in spec.records])
@@ -279,3 +289,68 @@ def test_limiting_distribution_cluster_average():
 def test_edges_listing():
     walk = build_cayley(2, Partition((2,)))
     assert walk.edges() == [((1, 2), (2, 1))]
+
+
+# Largest error each oracle time may show against the exact engine, from
+# every start class at n <= 5; the worsts measured over n <= 6 are 7.6e-14
+# (t <= 3.1), 2.4e-12 (t = 100) and 3.1e-15 (classical).
+QUANTUM_TOL = {0.0: 1e-13, 0.7: 1e-13, 3.1: 1e-13, 100.0: 1e-11}
+CLASSICAL_TOL = {0.1: 1e-14, 2.0: 1e-14, 100.0: 1e-14}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_every_class_start_matches_the_spectral_engine(n):
+    for gamma in generator_classes(n):
+        walk = build_cayley(n, gamma)
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        for start in enumerate_partitions(n):
+            for t, tol in QUANTUM_TOL.items():
+                dense = class_aggregate(walk, evolve_quantum(walk, start, t)).sums
+                for lam, p in class_distribution(spec, start, t).probs.items():
+                    assert abs(p - dense[lam]) < tol, (gamma, start, t, lam)
+            for t, tol in CLASSICAL_TOL.items():
+                dense = class_sums(walk, evolve_classical(walk, start, t))
+                for lam, p in classical_class_distribution(spec, start, t).probs.items():
+                    assert abs(p - dense[lam]) < tol, (gamma, start, t, lam)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_krylov_dimension_is_at_most_the_class_count(n):
+    # A class-uniform start stays a class function, so its Krylov subspace
+    # has at most p(n) dimensions however many vertices the graph has.
+    for gamma in generator_classes(n):
+        walk = build_cayley(n, gamma)
+        for start in enumerate_partitions(n):
+            values, vectors, coefficients = walk.krylov(start)
+            assert len(values) == len(coefficients) <= partition_count(n)
+            assert vectors.shape == (factorial(n), len(values))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_a_dropped_edge_fails_the_quantum_check(monkeypatch, n):
+    # The oracle reads nothing but the literal adjacency, so it cannot pass
+    # vacuously: one missing edge pair, the last in lex order, shows.
+    build = oracle.build_cayley
+
+    def broken(n, gamma):
+        walk = build(n, gamma)
+        rows, cols = np.nonzero(np.triu(walk.adjacency))
+        walk.adjacency[rows[-1], cols[-1]] = walk.adjacency[cols[-1], rows[-1]] = 0.0
+        return walk
+
+    monkeypatch.setattr(oracle, "build_cayley", broken)
+    passed = {r.name: r.passed for r in verify.run_suite(n)}
+    assert not passed["quantum_vs_oracle"]
+
+
+def test_the_oracle_at_n7_matches_the_engine(capsys, monkeypatch):
+    monkeypatch.setenv("SYMWALK_MAX_N", "7")
+    argv = ["--n", "7", "--generator", "7", "--t", "0.7"]
+    assert main(["oracle", *argv]) == 0
+    dense = json.loads(capsys.readouterr().out)["classes"]
+    assert main(["distribution", *argv]) == 0
+    exact = json.loads(capsys.readouterr().out)["classes"]
+    assert len(dense) == len(exact) == partition_count(7)
+    for row, want in zip(dense, exact):
+        assert row["partition"] == want["partition"]
+        assert abs(row["probability"] - want["probability"]) < 1e-12
