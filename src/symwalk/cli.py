@@ -350,12 +350,12 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
         lines = ["t,class,probability"]
-        labels = [f"\"{lam}\"" for lam in spec.classes]
+        labels = [f",\"{lam}\"," for lam in spec.classes]
         for j in range(steps):
             t = lo + (hi - lo) * j / max(steps - 1, 1)
-            dist = engine(spec, cfg.start, t)
-            for label, p in zip(labels, dist.probs.values()):
-                lines.append(f"{t!r},{label},{p!r}")
+            head = repr(t)
+            probs = engine(spec, cfg.start, t).probs.values()
+            lines += [f"{head}{label}{p!r}" for label, p in zip(labels, probs)]
         _emit(cfg, "\n".join(lines) + "\n")
         return 0
     dist = engine(spec, cfg.start, cfg.t)
@@ -423,7 +423,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
-    from .verify import run_suite  # loads numpy, which the exact commands never need
+    from .verify import run_suite  # loads numpy, which only the dense oracle needs
 
     results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
     # CheckResult's fields in declaration order, leaving out None and empty values.
@@ -489,7 +489,7 @@ def run(argv=None) -> int:
     args = _parse_args(parser.parse_args(argv))
     try:
         return _COMMANDS[args.subcommand](args)
-    except ModuleNotFoundError as exc:  # the float commands import numpy when they run
+    except ModuleNotFoundError as exc:  # verify and oracle import numpy when they run
         if exc.name != "numpy":
             raise
         raise ResourceLimitError(f"{args.subcommand} needs numpy, which is not installed") from None

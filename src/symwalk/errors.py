@@ -36,8 +36,8 @@ class SupportMismatchError(DomainError):
 
 
 class ResourceLimitError(SymwalkError):
-    """Requested n exceeds a configured cap, or a float command runs
-    without numpy."""
+    """Requested n exceeds a configured cap, or a command that needs the
+    dense oracle (verify, oracle) runs without numpy."""
 
     exit_code = 3
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from typing import Literal
 
 from .errors import ConsistencyError, DomainError, SupportMismatchError
@@ -134,6 +135,7 @@ def time_averaged_distribution(
     if samples < 1:
         raise DomainError("need at least one sample")
     kernel = spec.kernel(mu)
-    acc = sum(kernel.quantum_probabilities((j + 0.5) * horizon / samples)
-              for j in range(samples))
-    return ClassDistribution.of(spec, horizon, acc / samples)
+    acc = [0.0] * len(spec.classes)
+    for j in range(samples):
+        acc = list(map(add, acc, kernel.quantum_probabilities((j + 0.5) * horizon / samples)))
+    return ClassDistribution.of(spec, horizon, [a / samples for a in acc])

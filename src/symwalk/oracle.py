@@ -74,8 +74,9 @@ class DenseWalk:
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
-        rows, cols = np.nonzero(np.triu(self.adjacency))
-        return [(self.vertices[i], self.vertices[j]) for i, j in zip(rows, cols)]
+        rows, cols = np.nonzero(self.adjacency)  # row-major, so the upper half keeps the order
+        upper = rows < cols
+        return [(self.vertices[i], self.vertices[j]) for i, j in zip(rows[upper], cols[upper])]
 
 
 def build_cayley(n: int, gamma: Partition) -> DenseWalk:

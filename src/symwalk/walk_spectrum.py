@@ -16,10 +16,16 @@ identity on the literal adjacency matrix).
 Eigenvalues are exact rationals (exact integers for single-class
 generators, the mechanism behind the walk's 2*pi periodicity).  Phase
 terms are accumulated per distinct eigenvalue with exact integer
-coefficients, once per start class (``WalkKernel``); the only
-floating-point steps are e^{itE} and one matrix-vector product, so
+coefficients, once per start class (``WalkKernel``), and folded onto the
+distinct |E| in exact integers.  The only floating-point steps are a
+cos and sin (or two exps) per distinct |E| and, per target class, sums
+of coefficient times those factors over the nonzero coefficients, so
 destructive interference that is exact in the algebra (e.g. odd classes
-under an even generator) is exact in the output as well.
+under an even generator) is exact in the output as well.  Evaluation is
+plain Python (``math`` and lists), so no walk command imports numpy;
+only the dense oracle does.  Float sums use ``sum()``, which adds left
+to right up to Python 3.11 and compensates rounding from 3.12, so the
+last bits of a float output depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import factorial
+from operator import add, mul, sub
 from types import SimpleNamespace
 
 from .characters import character_column, character_table, dimension
@@ -153,9 +161,16 @@ class ClassDistribution:
         return {lam: p / class_size(lam) for lam, p in self.probs.items()}
 
     @classmethod
-    def of(cls, spec: WalkSpectrum, t: float, probs) -> "ClassDistribution":
-        """Wrap an array of class probabilities in canonical class order."""
-        return cls(n=spec.n, probs=dict(zip(spec.classes, probs.tolist())), t=t)
+    def of(cls, spec: WalkSpectrum, t: float, probs: list[float]) -> "ClassDistribution":
+        """Wrap a list of class probabilities in canonical class order."""
+        return cls(n=spec.n, probs=dict(zip(spec.classes, probs)), t=t)
+
+
+def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
+    """The nonzero entries of an exact row as floats, and a selector of
+    their places for ``itertools.compress``.  A zero entry adds k*x = 0
+    to its sum, which changes no nonzero sum, so evaluation skips it."""
+    return list(map(float, filter(None, row))), list(map(bool, row))
 
 
 class WalkKernel:
@@ -171,7 +186,9 @@ class WalkKernel:
 
     Grouping happens in exact integers before any float appears, so an
     algebraically exact cancellation (a zero entry of K) stays exact in
-    floating point.  The float copies are made on first evaluation.
+    floating point.  The time engines evaluate K folded onto the distinct
+    |E_G| (``_folded``): per time point one cos and sin (or two exps) per
+    |E_G|, and per class a sum over the nonzero entries of each fold.
     """
 
     def __init__(self, spec: WalkSpectrum, mu: Partition):
@@ -189,52 +206,103 @@ class WalkKernel:
         self.mu = mu
 
     @cached_property
-    def _arrays(self) -> SimpleNamespace:
-        """The float copies the engines evaluate.  Differences and ratios
-        are taken exactly and rounded once."""
-        import numpy as np
+    def _folded(self) -> SimpleNamespace:
+        """K folded onto the distinct w = |E_G|, rounded to floats once.
 
+        With K+[w] and K-[w] the entries of K at E = +w and E = -w (E = 0
+        counted in K+), A = K+ + K- and B = K+ - K- are summed in exact
+        integers, and both engines become sums over w:
+
+            quantum     Re = sum_w A[w] cos(tw),  Im = sum_w B[w] sin(tw)
+            classical   sum_w A[w] c_w + B[w] s_w,  c_w, s_w = (x_w +- y_w)/2
+
+        with x_w = e^{t(w - d)} and y_w = e^{-t(w + d)}, which for a 0/1
+        generator (|E| <= d) never overflow.  B[0] multiplies sin(0) = 0
+        and is left out.  Where only one of +w, -w is an eigenvalue, the
+        classical walk takes x_w = y_w = e^{t(E - d)}, so c_w is that one
+        exponential and s_w = 0 drops out.  For an odd generator class
+        (transpositions among them) E_nu' = -E_nu and chi_nu' = sgn chi_nu,
+        so K-[w] = +-K+[w] and one of A[w], B[w] is 0 on every class: with
+        the zeros skipped, a time point adds about half the nonzero terms
+        of the sum over groups.
+        """
         spec, nfact = self.spec, factorial(self.spec.n)
         sizes = [spec.class_sizes[lam] for lam in spec.classes]
+        degree = spec.f.degree()
+        freqs = list(dict.fromkeys(abs(ev) for ev in self.energies))  # first-seen order
+        signed = {ev: g for g, ev in enumerate(self.energies)}
+        pad = len(self.energies)  # the index of a 0 appended to each row of K
+        plus = [signed.get(w, pad) for w in freqs]
+        minus = [signed.get(-w, pad) if w else pad for w in freqs]
+        nonzero = [w != 0 for w in freqs]
+        paired = [w != 0 and w in signed and -w in signed for w in freqs]
+        even_rows, odd_rows, paired_rows = [], [], []
+        for row in self.coefficients:
+            row = (*row, 0)
+            k_plus, k_minus = [row[g] for g in plus], [row[g] for g in minus]
+            b = list(map(sub, k_plus, k_minus))
+            even_rows.append(_sparse(list(map(add, k_plus, k_minus))))
+            odd_rows.append(_sparse(list(compress(b, nonzero))))
+            paired_rows.append(_sparse(list(compress(b, paired))))
+        cos_freqs = [eigenvalue_float(w) for w in freqs]
         return SimpleNamespace(
-            # K transposed: summing it over axis 0 adds the groups one after
-            # another, in the order of a per-class loop (a BLAS product
-            # would not keep that order).
-            kt=np.array(self.coefficients, dtype=float).T.copy(),
-            prefactors=np.array([
+            even_rows=even_rows,
+            odd_rows=odd_rows,
+            paired_rows=paired_rows,
+            paired=paired,
+            cos_freqs=cos_freqs,
+            sin_freqs=[eigenvalue_float(w) for w in compress(freqs, nonzero)],
+            max_freq=max(cos_freqs),
+            # x_w = e^{t*rising}, y_w = e^{t*falling}
+            rising=[eigenvalue_float((w if w in signed else -w) - degree) for w in freqs],
+            falling=[eigenvalue_float((-w if -w in signed else w) - degree) for w in freqs],
+            prefactors=[
                 math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
-            ]),
-            weights=np.array([s / nfact for s in sizes]),
-            energies=np.array([eigenvalue_float(ev) for ev in self.energies]),
-            neg_gaps=np.array([eigenvalue_float(ev - spec.f.degree())  # -(d - E_G)
-                               for ev in self.energies]),
+            ],
+            weights=[s / nfact for s in sizes],
         )
 
-    def amplitudes(self, t: float):
-        """<c_lam| e^{itH} |c_mu> for every target class lam, as an array."""
-        import numpy as np
+    def _sums(self, evens: list[float], odds: list[float], odd_rows) -> tuple[list, list]:
+        """Per class, sum_w A[w] evens[w] and sum_w B[w] odds[w] over the
+        nonzero A and B (last bits by interpreter: see the module notes)."""
+        even_rows = self._folded.even_rows
+        return ([sum(map(mul, a, compress(evens, at))) if a else 0.0 for a, at in even_rows],
+                [sum(map(mul, b, compress(odds, bt))) if b else 0.0 for b, bt in odd_rows])
 
-        a = self._arrays
-        if not math.isfinite(t * float(abs(a.energies).max())):
+    def _real_imag(self, t: float) -> tuple[list[float], list[float]]:
+        """Real and imaginary parts of every class amplitude at time t."""
+        f = self._folded
+        if not math.isfinite(t * f.max_freq):
             raise DomainError(f"time {t!r} overflows the phase t*E")
-        return a.prefactors * (a.kt * np.exp(1j * t * a.energies)[:, None]).sum(axis=0)
+        re, im = self._sums([math.cos(t * w) for w in f.cos_freqs],
+                            [math.sin(t * w) for w in f.sin_freqs], f.odd_rows)
+        return list(map(mul, f.prefactors, re)), list(map(mul, f.prefactors, im))
 
-    def quantum_probabilities(self, t: float):
-        return abs(self.amplitudes(t)) ** 2
+    def amplitudes(self, t: float) -> list[complex]:
+        """<c_lam| e^{itH} |c_mu> for every target class lam."""
+        return list(map(complex, *self._real_imag(t)))
 
-    def classical_probabilities(self, t: float):
+    def quantum_probabilities(self, t: float) -> list[float]:
+        re, im = self._real_imag(t)
+        return [x * x + y * y for x, y in zip(re, im)]
+
+    def classical_probabilities(self, t: float) -> list[float]:
         """Class masses of e^{-tL} started uniform on C_mu; L = d - H has
-        eigenvalue d - E_G on the group G, d the degree."""
-        import numpy as np
-
+        eigenvalue d - E_G on the group G, d the degree.  Only 0/1
+        generator weightings give a genuine Laplacian."""
+        if not all(w == 1 for w in self.spec.f.weights.values()):
+            raise DomainError("classical walk requires a 0/1 generator indicator")
         if not t >= 0:
             raise DomainError(f"the classical walk runs forward in time, got t={t!r}")
-        if not math.isfinite(t):  # e^{-t(d - E_G)} would take inf * 0 on the stationary group
+        if not math.isfinite(t):  # e^{-t(d - w)} would take inf * 0 at w = d
             raise DomainError(f"time must be a finite number, got {t!r}")
-        a = self._arrays
-        with np.errstate(over="ignore"):  # t*(E_G - d) may round to -inf; e^-inf is 0
-            decay = np.exp(t * a.neg_gaps)
-        return np.maximum(a.weights * (a.kt * decay[:, None]).sum(axis=0), 0.0)
+        f = self._folded
+        x = [math.exp(t * r) for r in f.rising]
+        y = [math.exp(t * r) for r in f.falling]  # may round to e^-inf = 0
+        even, odd = self._sums([(p + q) / 2 for p, q in zip(x, y)],
+                               [(p - q) / 2 for pair, p, q in zip(f.paired, x, y) if pair],
+                               f.paired_rows)
+        return [0.0 if m < 0.0 else m for m in map(mul, f.weights, map(add, even, odd))]
 
     def limiting_sums(self) -> list[int]:
         """sum_G K[lam][G]^2 per target class lam, exact."""
@@ -256,11 +324,8 @@ def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDist
 def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
     """Continuous-time random walk M(t) = e^{-tL}, aggregated per class.
 
-    Started from the uniform distribution on C_mu.  Only 0/1 generator
-    weightings give a genuine Laplacian.
+    Started from the uniform distribution on C_mu.
     """
-    if not all(w == 1 for w in spec.f.weights.values()):
-        raise DomainError("classical walk requires a 0/1 generator indicator")
     return ClassDistribution.of(spec, t, spec.kernel(mu).classical_probabilities(t))
 
 

@@ -2,6 +2,7 @@
 and the closed forms and walks the tests share."""
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -50,3 +51,24 @@ def max_ncycle_probability(n: int) -> Fraction:
     """max_t of the identity-to-class-(n) probability under transpositions:
     2^(2n-2)/(n*n!), attained at t = (2k+1)*pi/n."""
     return Fraction(2 ** (2 * n - 2), n * factorial(n))
+
+
+def numpy_kernel_reference(kernel, t: float):
+    """(amplitudes, quantum, classical) of a ``WalkKernel`` at time t, by
+    the numpy matrix form the pure-Python evaluators replaced: K transposed,
+    times the phases, summed over axis 0 (one group after another)."""
+    import numpy as np
+
+    spec, nfact = kernel.spec, factorial(kernel.spec.n)
+    sizes = [spec.class_sizes[lam] for lam in spec.classes]
+    kt = np.array(kernel.coefficients, dtype=float).T.copy()
+    prefactors = np.array([math.sqrt(Fraction(s * spec.class_sizes[kernel.mu], nfact * nfact))
+                           for s in sizes])
+    energies = np.array([float(ev) for ev in kernel.energies])
+    neg_gaps = np.array([float(ev - spec.f.degree()) for ev in kernel.energies])
+    phase = np.exp(1j * t * energies)
+    amplitudes = prefactors * (kt * phase[:, None]).sum(axis=0)
+    decay = np.exp(t * neg_gaps)
+    classical = np.maximum(np.array([s / nfact for s in sizes]) * (kt * decay[:, None]).sum(axis=0),
+                           0.0)
+    return amplitudes, abs(amplitudes) ** 2, classical

@@ -304,12 +304,25 @@ def test_verify_refuses_n_without_a_walk(capsys, n):
     _assert_json_error(*run_cli(capsys, "verify", "--n", n), 1)
 
 
+# Every command but verify and oracle, which evaluate the dense n!-vertex graph.
+NUMPY_FREE_ARGVS = (
+    ["limit", "--n", "4", "--generator", "2,1,1"],
+    ["limit", "--n", "4", "--generator", "2,1,1", "--average", "6.283185307179586,16"],
+    ["table", "--n", "4"],
+    ["spectrum", "--n", "4", "--generator", "3,1"],
+    ["characters", "--n", "4"],
+    ["distribution", "--n", "4", "--generator", "2,1,1", "--t", "0.7"],
+    ["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "8"],
+    ["distribution", "--n", "4", "--generator", "3,1", "--t", "0.7", "--classical"],
+    ["amplitude", "--n", "4", "--generator", "2,1,1", "--target", "4", "--t", "0.7"],
+)
+
+
 def test_exact_commands_do_not_load_numpy():
     script = (
         "import sys\n"
         "from symwalk.cli import main\n"
-        "for argv in (['limit', '--n', '4', '--generator', '2,1,1'], ['table', '--n', '4'],\n"
-        "             ['spectrum', '--n', '4', '--generator', '3,1'], ['characters', '--n', '4']):\n"
+        f"for argv in {NUMPY_FREE_ARGVS!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -318,7 +331,7 @@ def test_exact_commands_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_float_commands_without_numpy_exit_3_with_one_json_line():
+def test_float_commands_without_numpy_exit_3_with_one_json_line(capsys):
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -330,14 +343,14 @@ def test_float_commands_without_numpy_exit_3_with_one_json_line():
         return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                               text=True, env=_subprocess_env())
 
-    for argv in (["verify", "--n", "3"], ["oracle", "--n", "3", "--generator", "2,1", "--t", "1"],
-                 ["distribution", "--n", "3", "--generator", "2,1", "--t", "1"],
-                 ["amplitude", "--n", "3", "--generator", "2,1", "--target", "3", "--t", "1"]):
+    for argv in (["verify", "--n", "3"], ["oracle", "--n", "3", "--generator", "2,1", "--t", "1"]):
         proc = run(*argv)
         _assert_json_error(proc.returncode, proc.stdout, proc.stderr, 3)
         assert json.loads(proc.stderr)["error"] == f"{argv[0]} needs numpy, which is not installed"
-    proc = run("limit", "--n", "3", "--generator", "2,1")  # exact commands never need it
-    assert proc.returncode == 0 and proc.stderr == ""
+    for argv in NUMPY_FREE_ARGVS:  # the same bytes as a run with numpy at hand
+        proc = run(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout == run_cli(capsys, *argv)[1], argv
 
 
 def test_symwalk_max_n_overrides_the_oracle_cap(capsys, monkeypatch):

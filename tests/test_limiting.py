@@ -25,7 +25,7 @@ from symwalk.partitions import (
 from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, spectrum
 
-from conftest import transpositions
+from conftest import numpy_kernel_reference, transpositions
 
 
 def hook_ratio(n, k, gamma_spec):
@@ -226,6 +226,18 @@ def test_time_average_converges_to_exact():
     avg = time_averaged_distribution(spec, ident, 2 * math.pi, 4096)
     for lam, p in exact.probs.items():
         assert abs(avg.probs[lam] - float(p)) < 1e-4
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_time_average_matches_the_numpy_reference(n):
+    horizon, samples = 2 * math.pi, 64
+    for gamma in generator_classes(n):
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        for mu in spec.classes:
+            avg = time_averaged_distribution(spec, mu, horizon, samples)
+            acc = sum(numpy_kernel_reference(spec.kernel(mu), (j + 0.5) * horizon / samples)[1]
+                      for j in range(samples))
+            assert max(map(abs, list(avg.probs.values()) - acc / samples)) <= 1e-15
 
 
 def test_time_average_short_horizon_is_start():

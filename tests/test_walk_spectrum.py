@@ -26,7 +26,7 @@ from symwalk.walk_spectrum import (
     spectrum,
 )
 
-from conftest import max_ncycle_probability, transpositions
+from conftest import max_ncycle_probability, numpy_kernel_reference, transpositions
 
 
 def test_class_function_validation():
@@ -300,3 +300,42 @@ def test_classical_refuses_a_non_finite_time(t):
     spec = spectrum(4, transpositions(4))
     with pytest.raises(DomainError):
         classical_class_distribution(spec, identity_partition(4), t)
+
+
+def _assert_matches_numpy_reference(kernel, t):
+    amplitudes, quantum, classical = numpy_kernel_reference(kernel, t)
+    assert max(map(abs, kernel.amplitudes(t) - amplitudes)) <= 1e-15
+    assert max(map(abs, kernel.quantum_probabilities(t) - quantum)) <= 1e-15
+    assert max(map(abs, kernel.classical_probabilities(t) - classical)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kernel_matches_the_numpy_reference(n):
+    for gamma in generator_classes(n):
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        for mu in spec.classes:
+            for t in (0.0, 0.7, 3.1, 100.0):
+                _assert_matches_numpy_reference(spec.kernel(mu), t)
+
+
+# Transpositions fold their spectrum in +-E pairs; the 3-cycles' spectrum
+# is not symmetric, so most |E| carry one eigenvalue there.
+@pytest.mark.parametrize("cycle", [2, 3])
+def test_n14_sweeps_match_the_numpy_reference(cycle):
+    n = 14
+    spec = spectrum(n, ClassFunction.indicator(Partition((cycle,) + (1,) * (n - cycle))))
+    for mu in (identity_partition(n), Partition((3, 3, 3, 3, 2))):
+        for j in range(64):
+            _assert_matches_numpy_reference(spec.kernel(mu), 1.3 + 2 * math.pi * j / 63)
+
+
+def test_folding_halves_the_transposition_terms():
+    # E_nu' = -E_nu and chi_nu' = sgn chi_nu, so on every class one of A[w]
+    # and B[w] vanishes: the folded rows hold about half the nonzero
+    # entries of K (the E = 0 group counts in both).
+    n = 14
+    kernel = spectrum(n, transpositions(n)).kernel(identity_partition(n))
+    folded = kernel._folded
+    terms = sum(len(a) + len(b) for (a, _), (b, _) in zip(folded.even_rows, folded.odd_rows))
+    assert sum(1 for row in kernel.coefficients for k in row if k) == 7702
+    assert terms == 3873
