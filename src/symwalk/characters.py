@@ -75,8 +75,9 @@ def character(nu: Partition, lam: Partition) -> int:
 
 def character_column(lam: Partition) -> tuple[int, ...]:
     """chi_nu(lam) for every irrep nu of S_n, in canonical order."""
+    reps = enumerate_partitions(lam.n)  # checks the cap before the fold
     expansion = _power_sum(lam)
-    return tuple(expansion.get(_abacus(nu), 0) for nu in enumerate_partitions(lam.n))
+    return tuple(expansion.get(_abacus(nu), 0) for nu in reps)
 
 
 def dimension(nu: Partition) -> int:

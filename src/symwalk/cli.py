@@ -134,8 +134,8 @@ def build_parser() -> _Parser:
     when.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
                       help="sweep; emits CSV rows t,class,probability; a bare "
                            "STEPS count sweeps [0, 2*pi], one full period of a "
-                           "single-class generator (a weighted walk may need "
-                           "explicit ends)")
+                           "0/1 generator set (other weights may need explicit "
+                           "ends)")
     p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")
@@ -189,9 +189,8 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
 
     if getattr(args, "dump_adjacency", False) and (args.classical or args.start is not None):
         raise UsageError("--dump-adjacency takes neither --classical nor --start")
-    if hasattr(args, "start"):
-        args.start = (identity_partition(n) if args.start is None
-                      else _parse_partition(args.start, n, "start class"))
+    if getattr(args, "start", None) is not None:  # the identity default waits for a cap check
+        args.start = _parse_partition(args.start, n, "start class")
     if getattr(args, "target", None) is not None:
         args.target = _parse_partition(args.target, n, "target class")
 
@@ -232,7 +231,7 @@ def _class_function(cfg: argparse.Namespace) -> ClassFunction:
     for lam, w in cfg.generators:
         weights[lam] = weights.get(lam, Fraction(0)) + w
     f = ClassFunction(cfg.n, weights)  # keeps only the nonzero weights
-    if all(lam == identity_partition(cfg.n) for lam in f.weights):  # then H is c*I
+    if all(len(lam.parts) == cfg.n for lam in f.weights):  # all fixed points: H is c*I
         raise DegenerateGeneratorError("the identity class does not generate a walk")
     return f
 
@@ -242,6 +241,7 @@ def _walk_spectrum(cfg: argparse.Namespace) -> WalkSpectrum:
     full character table: its cap is checked before any column is folded."""
     f = _class_function(cfg)
     check_cap(cfg.n, CHARACTER_TABLE_CAP, "character table")
+    cfg.start = cfg.start or identity_partition(cfg.n)  # n parts, so only once n is capped
     return spectrum(cfg.n, f)
 
 
@@ -258,15 +258,15 @@ def _class_row(lam: Partition, **fields) -> dict:
     return {"partition": list(lam.parts), "class_size": str(class_size(lam)), **fields}
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
+def _emit(cfg: argparse.Namespace, *texts: str) -> None:
     if cfg.output:
         try:
             with open(cfg.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise UsageError(f"cannot write {cfg.output!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _json(payload) -> str:
@@ -349,14 +349,14 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
     engine = classical_class_distribution if cfg.classical else class_distribution
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
-        lines = ["t,class,probability"]
+        points = ["t,class,probability\n"]  # one string per time point, written at the end
         labels = [f",\"{lam}\"," for lam in spec.classes]
         for j in range(steps):
             t = lo + (hi - lo) * j / max(steps - 1, 1)
             head = repr(t)
             probs = engine(spec, cfg.start, t).probs.values()
-            lines += [f"{head}{label}{p!r}" for label, p in zip(labels, probs)]
-        _emit(cfg, "\n".join(lines) + "\n")
+            points.append("".join([f"{head}{label}{p!r}\n" for label, p in zip(labels, probs)]))
+        _emit(cfg, *points)
         return 0
     dist = engine(spec, cfg.start, cfg.t)
     _emit(cfg, _json(_distribution_json(cfg, dist)))
@@ -447,6 +447,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         raise UsageError("oracle needs exactly one --generator")
     gamma = cfg.generators[0][0]
     walk = oracle_mod.build_cayley(cfg.n, gamma)
+    cfg.start = cfg.start or identity_partition(cfg.n)  # as in _walk_spectrum
     if cfg.dump_adjacency:
         lines = ["perm_g,perm_h"]
         for g, h in walk.edges():

@@ -7,8 +7,9 @@ of class lam starting from c_mu is
     P_bar[lam] = |C_lam||C_mu|/(n!)^2 * sum_G ( sum_{nu in G}
                  chi_nu(lam) chi_nu(mu) )^2
 
-with G running over the groups of irreps sharing one exact eigenvalue.
-Everything on this route is a big-integer/rational identity; the only
+with G running over the groups of irreps sharing one exact eigenvalue
+(``eigenvalue_groups``); the kernel reads the sum off its fold onto the
+distinct |E| (``WalkKernel.limiting_sums``).  Everything on this route is a big-integer/rational identity; the only
 collision detection is equality of exact rationals, never floats.
 
 The closed-form n-cycle table for p-cycle generators is implemented
@@ -40,12 +41,12 @@ class EigenGroups:
 
 
 def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
-    """Group irreps by equal exact E_nu (rational comparison only)."""
-    groups = tuple(
-        tuple(spec.classes[i] for i in members)
-        for _, members in spec.eigenvalue_classes
-    )
-    return EigenGroups(groups=groups)
+    """Group irreps by equal exact E_nu (rational comparison only), in
+    the canonical order of each group's first member."""
+    groups: dict[Fraction, list[Partition]] = {}
+    for rec in spec.records:
+        groups.setdefault(rec.eigenvalue, []).append(rec.rep)
+    return EigenGroups(groups=tuple(map(tuple, groups.values())))
 
 
 def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistribution:

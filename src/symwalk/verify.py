@@ -58,8 +58,9 @@ class CheckResult:
 
 def generator_classes(n: int) -> list[Partition]:
     """Every nonidentity class of S_n, canonical order."""
+    classes = enumerate_partitions(n)  # checks the cap before n fixed points are built
     ident = identity_partition(n)
-    return [lam for lam in enumerate_partitions(n) if lam != ident]
+    return [lam for lam in classes if lam != ident]
 
 
 def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, times,

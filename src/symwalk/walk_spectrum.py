@@ -13,13 +13,12 @@ convention because every S_n element is conjugate to its inverse, so
 f(g^{-1}h) = f(gh^{-1}) for class functions (the oracle tests this
 identity on the literal adjacency matrix).
 
-Eigenvalues are exact rationals (exact integers for single-class
-generators, the mechanism behind the walk's 2*pi periodicity).  Phase
-terms are accumulated per distinct eigenvalue with exact integer
-coefficients, once per start class (``WalkKernel``), and folded onto the
-distinct |E| in exact integers.  The only floating-point steps are a
-cos and sin (or two exps) per distinct |E| and, per target class, sums
-of coefficient times those factors over the nonzero coefficients, so
+Eigenvalues are exact rationals (exact integers for a 0/1 generator
+set, the mechanism behind the walk's 2*pi periodicity).  Phase terms
+are accumulated onto the distinct |E| with exact integer coefficients,
+once per start class (``WalkKernel``).  The only floating-point steps
+are a cos and sin (or two exps) per distinct |E| and, per target class,
+sums of coefficient times those factors over the nonzero coefficients, so
 destructive interference that is exact in the algebra (e.g. odd classes
 under an even generator) is exact in the output as well.  Evaluation is
 plain Python (``math`` and lists), so no walk command imports numpy;
@@ -36,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import factorial
-from operator import add, mul, sub
+from operator import add, mul
 from types import SimpleNamespace
 
 from .characters import character_column, character_table, dimension
@@ -70,8 +69,11 @@ class ClassFunction:
             raise DegenerateGeneratorError("the identity class does not generate a walk")
         return cls(gamma.n, {gamma: Fraction(1)})
 
-    def is_single_class_indicator(self) -> bool:
-        return len(self.weights) == 1 and next(iter(self.weights.values())) == 1
+    def is_indicator(self) -> bool:
+        """Whether f is the 0/1 indicator of a set of classes.  Then every
+        E_nu is a sum of central characters, which are rational algebraic
+        integers, so an integer; and L = d - H is a genuine Laplacian."""
+        return all(w == 1 for w in self.weights.values())
 
     def degree(self) -> Fraction:
         """sum_gamma |C_gamma| f(gamma); the graph degree for indicators."""
@@ -107,14 +109,6 @@ class WalkSpectrum:
     def class_sizes(self) -> dict[Partition, int]:
         return {lam: class_size(lam) for lam in self.classes}
 
-    @cached_property
-    def eigenvalue_classes(self) -> list[tuple[Fraction, list[int]]]:
-        """Indices of reps sharing each exact eigenvalue, in canonical order."""
-        groups: dict[Fraction, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            groups.setdefault(rec.eigenvalue, []).append(i)
-        return sorted(groups.items(), key=lambda kv: kv[1][0])
-
     def kernel(self, mu: Partition) -> "WalkKernel":
         """The phase kernel from start class mu, built once per start."""
         if mu not in self._kernels:
@@ -126,19 +120,20 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
     """Diagonalize the walk operator for generator weighting f.
 
     Reads only the generator columns, one per class of f, so it runs
-    to the partition cap.  For a single-class indicator every eigenvalue
+    to the partition cap.  For a 0/1 generator set every eigenvalue
     must come out an exact integer; a non-integer here means the
     character engine is broken, so it raises rather than rounding.
     """
     if f.n != n:
         raise DomainError(f"class function is on n={f.n}, not {n}")
+    reps = enumerate_partitions(n)  # checks the cap before the columns' n-sized work
     columns = [(class_size(gamma) * w, character_column(gamma)) for gamma, w in f.weights.items()]
-    single = f.is_single_class_indicator()
+    integral = f.is_indicator()
     records = []
-    for i, nu in enumerate(enumerate_partitions(n)):
+    for i, nu in enumerate(reps):
         dim = dimension(nu)
         ev = sum((scale * column[i] for scale, column in columns), Fraction(0)) / dim
-        if single and ev.denominator != 1:
+        if integral and ev.denominator != 1:
             raise ConsistencyError(
                 f"eigenvalue for rep {nu} is {ev}, expected an integer"
             )
@@ -174,49 +169,55 @@ def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
 
 
 class WalkKernel:
-    """The walk from one start class mu as one exact integer matrix.
+    """The walk from one start class mu as two exact integer matrices.
 
-    K[lam][G] = sum_{nu in G} chi_nu(lam) chi_nu(mu), with G running over
-    the groups of irreps that share one exact eigenvalue E_G.  Every
-    engine is a short formula over K:
+    With w running over the distinct |E_nu| in first-seen irrep order
+    and s_nu = -1 where E_nu < 0 and +1 elsewhere,
 
-        quantum     |pref_lam * sum_G K[lam][G] e^{itE_G}|^2
-        classical   |C_lam|/n! * sum_G K[lam][G] e^{-t(d - E_G)}
-        limit       |C_lam||C_mu|/(n!)^2 * sum_G K[lam][G]^2
+        A[lam][w] = sum_{nu : |E_nu| = w} chi_nu(lam) chi_nu(mu)
+        B[lam][w] = sum_{nu : |E_nu| = w} s_nu chi_nu(lam) chi_nu(mu)
 
-    Grouping happens in exact integers before any float appears, so an
-    algebraically exact cancellation (a zero entry of K) stays exact in
-    floating point.  The time engines evaluate K folded onto the distinct
-    |E_G| (``_folded``): per time point one cos and sin (or two exps) per
-    |E_G|, and per class a sum over the nonzero entries of each fold.
+    so A = K+ + K- and B = K+ - K-, with K+[w] and K-[w] the sums over
+    the irreps at E = +w and E = -w (E = 0 in K+).  Every engine is a
+    short formula over A and B:
+
+        quantum     |pref_lam * (sum_w A[w] cos(tw) + i sum_w B[w] sin(tw))|^2
+        classical   |C_lam|/n! * sum_w A[w] c_w + B[w] s_w  (see ``_folded``)
+        limit       |C_lam||C_mu|/(n!)^2 * sum_w (A[w]^2 + B[w]^2)/2
+
+    Folding happens in exact integers before any float appears, so an
+    algebraically exact cancellation (a zero entry) stays exact in
+    floating point.
     """
 
     def __init__(self, spec: WalkSpectrum, mu: Partition):
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
-        groups = spec.eigenvalue_classes
         table = character_table(spec.n)  # the one engine that needs every column
+        slots: dict[Fraction, int] = {}  # w -> its column, in first-seen order
+        where = [slots.setdefault(abs(rec.eigenvalue), len(slots)) for rec in spec.records]
         col_mu = table.column(mu)
-        self.coefficients = tuple(
-            tuple(sum(col[i] * col_mu[i] for i in members) for _, members in groups)
-            for col in table.columns
-        )
-        self.energies = tuple(ev for ev, _ in groups)
+        # Irreps with chi_nu(mu) = 0 add nothing to any entry.
+        terms = [(i, where[i], c, -c if rec.eigenvalue < 0 else c)
+                 for i, (rec, c) in enumerate(zip(spec.records, col_mu)) if c]
+        self.even, self.odd = [], []  # A and B
+        for col in table.columns:
+            a, b = [0] * len(slots), [0] * len(slots)
+            for i, w, c, sc in terms:
+                a[w] += col[i] * c
+                b[w] += col[i] * sc
+            self.even.append(a)
+            self.odd.append(b)
+        self.freqs = list(slots)
         self.spec = spec
         self.mu = mu
 
     @cached_property
     def _folded(self) -> SimpleNamespace:
-        """K folded onto the distinct w = |E_G|, rounded to floats once.
-
-        With K+[w] and K-[w] the entries of K at E = +w and E = -w (E = 0
-        counted in K+), A = K+ + K- and B = K+ - K- are summed in exact
-        integers, and both engines become sums over w:
-
-            quantum     Re = sum_w A[w] cos(tw),  Im = sum_w B[w] sin(tw)
-            classical   sum_w A[w] c_w + B[w] s_w,  c_w, s_w = (x_w +- y_w)/2
-
-        with x_w = e^{t(w - d)} and y_w = e^{-t(w + d)}, which for a 0/1
+        """The nonzero entries of A and B rounded to floats once, with the
+        factors they multiply: per time point one cos and sin of tw, or
+        the classical c_w, s_w = (x_w +- y_w)/2 from two exps per w,
+        x_w = e^{t(w - d)} and y_w = e^{-t(w + d)}, which for a 0/1
         generator (|E| <= d) never overflow.  B[0] multiplies sin(0) = 0
         and is left out.  Where only one of +w, -w is an eigenvalue, the
         classical walk takes x_w = y_w = e^{t(E - d)}, so c_w is that one
@@ -224,38 +225,26 @@ class WalkKernel:
         (transpositions among them) E_nu' = -E_nu and chi_nu' = sgn chi_nu,
         so K-[w] = +-K+[w] and one of A[w], B[w] is 0 on every class: with
         the zeros skipped, a time point adds about half the nonzero terms
-        of the sum over groups.
+        of the sum over eigenvalues.
         """
-        spec, nfact = self.spec, factorial(self.spec.n)
+        spec, nfact, freqs = self.spec, factorial(self.spec.n), self.freqs
         sizes = [spec.class_sizes[lam] for lam in spec.classes]
         degree = spec.f.degree()
-        freqs = list(dict.fromkeys(abs(ev) for ev in self.energies))  # first-seen order
-        signed = {ev: g for g, ev in enumerate(self.energies)}
-        pad = len(self.energies)  # the index of a 0 appended to each row of K
-        plus = [signed.get(w, pad) for w in freqs]
-        minus = [signed.get(-w, pad) if w else pad for w in freqs]
+        present = {rec.eigenvalue for rec in spec.records}
         nonzero = [w != 0 for w in freqs]
-        paired = [w != 0 and w in signed and -w in signed for w in freqs]
-        even_rows, odd_rows, paired_rows = [], [], []
-        for row in self.coefficients:
-            row = (*row, 0)
-            k_plus, k_minus = [row[g] for g in plus], [row[g] for g in minus]
-            b = list(map(sub, k_plus, k_minus))
-            even_rows.append(_sparse(list(map(add, k_plus, k_minus))))
-            odd_rows.append(_sparse(list(compress(b, nonzero))))
-            paired_rows.append(_sparse(list(compress(b, paired))))
+        paired = [w != 0 and w in present and -w in present for w in freqs]
         cos_freqs = [eigenvalue_float(w) for w in freqs]
         return SimpleNamespace(
-            even_rows=even_rows,
-            odd_rows=odd_rows,
-            paired_rows=paired_rows,
+            even_rows=[_sparse(a) for a in self.even],
+            odd_rows=[_sparse(list(compress(b, nonzero))) for b in self.odd],
+            paired_rows=[_sparse(list(compress(b, paired))) for b in self.odd],
             paired=paired,
             cos_freqs=cos_freqs,
             sin_freqs=[eigenvalue_float(w) for w in compress(freqs, nonzero)],
             max_freq=max(cos_freqs),
             # x_w = e^{t*rising}, y_w = e^{t*falling}
-            rising=[eigenvalue_float((w if w in signed else -w) - degree) for w in freqs],
-            falling=[eigenvalue_float((-w if -w in signed else w) - degree) for w in freqs],
+            rising=[eigenvalue_float((w if w in present else -w) - degree) for w in freqs],
+            falling=[eigenvalue_float((-w if -w in present else w) - degree) for w in freqs],
             prefactors=[
                 math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
             ],
@@ -290,7 +279,7 @@ class WalkKernel:
         """Class masses of e^{-tL} started uniform on C_mu; L = d - H has
         eigenvalue d - E_G on the group G, d the degree.  Only 0/1
         generator weightings give a genuine Laplacian."""
-        if not all(w == 1 for w in self.spec.f.weights.values()):
+        if not self.spec.f.is_indicator():
             raise DomainError("classical walk requires a 0/1 generator indicator")
         if not t >= 0:
             raise DomainError(f"the classical walk runs forward in time, got t={t!r}")
@@ -305,8 +294,10 @@ class WalkKernel:
         return [0.0 if m < 0.0 else m for m in map(mul, f.weights, map(add, even, odd))]
 
     def limiting_sums(self) -> list[int]:
-        """sum_G K[lam][G]^2 per target class lam, exact."""
-        return [sum(k * k for k in row) for row in self.coefficients]
+        """sum_E (sum_{nu : E_nu = E} chi_nu(lam) chi_nu(mu))^2 per class lam,
+        exact: K+^2 + K-^2 = (A^2 + B^2)/2, and B = A where K- = 0 (w = 0)."""
+        return [(sum(map(mul, a, a)) + sum(map(mul, b, b))) // 2
+                for a, b in zip(self.even, self.odd)]
 
 
 def class_amplitude(spec: WalkSpectrum, lam: Partition, mu: Partition, t: float) -> complex:

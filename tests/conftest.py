@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from symwalk.characters import character_table
 from symwalk.partitions import Partition, cycle_type
 from symwalk.walk_spectrum import ClassFunction
 
@@ -53,6 +54,21 @@ def max_ncycle_probability(n: int) -> Fraction:
     return Fraction(2 ** (2 * n - 2), n * factorial(n))
 
 
+@cache
+def kernel_matrix(spec, mu: Partition) -> tuple[list[Fraction], list[list[int]]]:
+    """(E_G, K) for the walk ``spec`` from start class mu, built from the
+    character table: K[lam][G] = sum_{nu in G} chi_nu(lam) chi_nu(mu), with
+    G running over the irreps sharing one exact eigenvalue E_G, in the
+    canonical order of each group's first member."""
+    table = character_table(spec.n)
+    col_mu = table.column(mu)
+    groups: dict[Fraction, list[int]] = {}
+    for i, rec in enumerate(spec.records):
+        groups.setdefault(rec.eigenvalue, []).append(i)
+    return list(groups), [[sum(col[i] * col_mu[i] for i in members) for members in groups.values()]
+                          for col in table.columns]
+
+
 def numpy_kernel_reference(kernel, t: float):
     """(amplitudes, quantum, classical) of a ``WalkKernel`` at time t, by
     the numpy matrix form the pure-Python evaluators replaced: K transposed,
@@ -60,13 +76,13 @@ def numpy_kernel_reference(kernel, t: float):
     import numpy as np
 
     spec, nfact = kernel.spec, factorial(kernel.spec.n)
+    energies, matrix = kernel_matrix(spec, kernel.mu)
     sizes = [spec.class_sizes[lam] for lam in spec.classes]
-    kt = np.array(kernel.coefficients, dtype=float).T.copy()
+    kt = np.array(matrix, dtype=float).T.copy()
     prefactors = np.array([math.sqrt(Fraction(s * spec.class_sizes[kernel.mu], nfact * nfact))
                            for s in sizes])
-    energies = np.array([float(ev) for ev in kernel.energies])
-    neg_gaps = np.array([float(ev - spec.f.degree()) for ev in kernel.energies])
-    phase = np.exp(1j * t * energies)
+    neg_gaps = np.array([float(ev - spec.f.degree()) for ev in energies])
+    phase = np.exp(1j * t * np.array([float(ev) for ev in energies]))
     amplitudes = prefactors * (kt * phase[:, None]).sum(axis=0)
     decay = np.exp(t * neg_gaps)
     classical = np.maximum(np.array([s / nfact for s in sizes]) * (kt * decay[:, None]).sum(axis=0),

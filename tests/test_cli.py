@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +479,49 @@ def test_table_cap_refuses_before_any_column_is_folded(capsys, argv):
     assert time.perf_counter() - start < 0.5
     _assert_json_error(code, out, err, 3)
     assert json.loads(err)["error"] == "character table for n=30 exceeds the cap of 14"
+
+
+HUGE_N = "10000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--n", HUGE_N, "--generator", HUGE_N],
+    ["amplitude", "--n", HUGE_N, "--generator", HUGE_N, "--target", HUGE_N, "--t", "1"],
+    ["distribution", "--n", HUGE_N, "--generator", HUGE_N, "--t", "1"],
+    ["oracle", "--n", HUGE_N, "--generator", HUGE_N, "--t", "1"],
+    ["verify", "--n", HUGE_N],
+    ["spectrum", "--n", "30000", "--generator", "30000"],
+    ["spectrum", "--n", "48", "--generator", ",".join(["2"] + ["1"] * 46)],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_caps_refuse_before_work_that_grows_with_n(capsys, argv):
+    # The identity start alone is n parts (80 MB at n = 10^7), the class
+    # size of a 30,000-cycle has 120,000 digits, and the transposition
+    # column's fold grows exponentially: none may be built before the
+    # cap refuses n.
+    import symwalk.verify  # noqa: F401  (numpy's import is not work sized by n)
+
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_json_error(*result, 3)
+    assert peak < 5_000_000
+
+
+def test_the_benchmark_tracer_finds_every_span_point():
+    # perfbench/inproc.py rebinds symwalk functions by name; a rename in
+    # symwalk would silently drop its spans from the benchmark's report.
+    root = Path(__file__).resolve().parent.parent
+    request = {"trace": True, "invocations": [
+        {"argv": ["limit", "--n", "4", "--generator", "2,1,1"], "env": {}},
+        {"argv": ["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "8"], "env": {}},
+    ]}
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "inproc.py")],
+                          input=json.dumps(request), capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["points_missing"] == []
+    assert [result["rc"] for result in report["results"]] == [0, 0]

@@ -5,7 +5,8 @@ from math import comb, factorial
 
 import pytest
 
-from symwalk.characters import binom, character_table
+from symwalk import walk_spectrum
+from symwalk.characters import binom, character_table, dimension
 from symwalk.errors import ConsistencyError, DegenerateGeneratorError, DomainError
 from symwalk.oracle import build_cayley, class_aggregate, class_sums, evolve_classical, evolve_quantum
 from symwalk.partitions import (
@@ -26,7 +27,12 @@ from symwalk.walk_spectrum import (
     spectrum,
 )
 
-from conftest import max_ncycle_probability, numpy_kernel_reference, transpositions
+from conftest import (
+    kernel_matrix,
+    max_ncycle_probability,
+    numpy_kernel_reference,
+    transpositions,
+)
 
 
 def test_class_function_validation():
@@ -35,8 +41,10 @@ def test_class_function_validation():
     with pytest.raises(DomainError):
         ClassFunction(4, {Partition((2, 1)): Fraction(1)})
     f = transpositions(4)
-    assert f.is_single_class_indicator()
+    assert f.is_indicator()
     assert f.degree() == 6
+    assert ClassFunction(4, {hook(4, 2): 1, hook(4, 3): 1}).is_indicator()
+    assert not ClassFunction(4, {hook(4, 2): 1, hook(4, 3): 2}).is_indicator()
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), "0"])
@@ -234,6 +242,16 @@ def test_integrality_assertion_wired():
     assert all(r.eigenvalue.denominator == 1 for r in spec.records)
 
 
+def test_integrality_assertion_covers_unions_of_classes(monkeypatch):
+    # Each E_nu of a 0/1 generator set is a sum of central characters,
+    # rational algebraic integers; a broken dimension must trip the check.
+    f = ClassFunction(5, {hook(5, 2): 1, hook(5, 3): 1})
+    assert all(r.eigenvalue.denominator == 1 for r in spectrum(5, f).records)
+    monkeypatch.setattr(walk_spectrum, "dimension", lambda nu: 7 * dimension(nu))
+    with pytest.raises(ConsistencyError):
+        spectrum(5, f)
+
+
 def _grouped_phase_sum(spec, table, lam, mu, phase):
     """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu) for one (lam, mu) pair,
     with the exact integer coefficient of each distinct E_nu summed first."""
@@ -337,5 +355,16 @@ def test_folding_halves_the_transposition_terms():
     kernel = spectrum(n, transpositions(n)).kernel(identity_partition(n))
     folded = kernel._folded
     terms = sum(len(a) + len(b) for (a, _), (b, _) in zip(folded.even_rows, folded.odd_rows))
-    assert sum(1 for row in kernel.coefficients for k in row if k) == 7702
+    _, matrix = kernel_matrix(kernel.spec, kernel.mu)
+    assert sum(1 for row in matrix for k in row if k) == 7702
     assert terms == 3873
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_limiting_sums_are_the_squares_of_the_grouped_kernel(n):
+    # The fold keeps every square: K+^2 + K-^2 = (A^2 + B^2)/2, exactly.
+    for gamma in generator_classes(n):
+        spec = spectrum(n, ClassFunction.indicator(gamma))
+        for mu in spec.classes:
+            _, matrix = kernel_matrix(spec, mu)
+            assert spec.kernel(mu).limiting_sums() == [sum(k * k for k in row) for row in matrix]
