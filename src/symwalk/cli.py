@@ -12,10 +12,12 @@ angles are radians.  ``SYMWALK_MAX_N`` overrides the resource caps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -259,14 +261,14 @@ def _class_row(lam: Partition, **fields) -> dict:
 
 
 def _emit(cfg: argparse.Namespace, *texts: str) -> None:
-    if cfg.output:
-        try:
-            with open(cfg.output, "w") as fh:
-                fh.writelines(texts)
-        except OSError as exc:
-            raise UsageError(f"cannot write {cfg.output!r}: {exc.strerror}") from None
-    else:
-        sys.stdout.writelines(texts)
+    try:
+        with open(cfg.output, "w") if cfg.output else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(texts)
+            fh.flush()
+    except OSError as exc:
+        if not cfg.output:  # else the flush at exit fails on the same stdout again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {cfg.output or 'stdout'!r}: {exc.strerror}") from None
 
 
 def _json(payload) -> str:

@@ -9,8 +9,9 @@ of class lam starting from c_mu is
 
 with G running over the groups of irreps sharing one exact eigenvalue
 (``eigenvalue_groups``); the kernel reads the sum off its fold onto the
-distinct |E| (``WalkKernel.limiting_sums``).  Everything on this route is a big-integer/rational identity; the only
-collision detection is equality of exact rationals, never floats.
+distinct |E| (``WalkKernel.limiting_sums``).  Everything on this route
+is a big-integer/rational identity; the only collision detection is
+equality of exact rationals, never floats.
 
 The closed-form n-cycle table for p-cycle generators is implemented
 separately in ``table_ncycle_case``: it drives the ``table`` command

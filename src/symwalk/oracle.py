@@ -13,8 +13,9 @@ the class functions and so has at most p(n) dimensions.  One Lanczos
 run per start class, by products with the literal adjacency matrix,
 gives the exact spectral decomposition of the start inside it (Saad,
 SIAM J. Numer. Anal. 29, 1992); it is reused across every evolution
-time, both quantum e^{itA} and classical e^{-tL}, and by the Cesaro
-limit.  No character theory enters.
+time, both quantum e^{itA} and classical e^{-tL}.  Its tridiagonal is
+unreduced, so the Ritz values are simple and the Cesaro limit is one
+sum over the Ritz pairs.  No character theory enters.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
@@ -32,7 +33,7 @@ from .caps import ORACLE_CAP, check_cap
 from .errors import DegenerateGeneratorError, DomainError
 from .partitions import Partition, class_size, cycle_type, enumerate_partitions, identity_partition
 
-# Eigenvalues of the Cesaro limit closer than this form one cluster; the
+# A classical mode whose gap d - value is at most this is stationary; the
 # true spectrum is integral for single-class generators.
 CLUSTER_TOL = 1e-6
 # A Lanczos vector whose norm after reorthogonalisation is at most this
@@ -162,7 +163,7 @@ def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
         raise DomainError(f"time must be a finite number, got {t!r}")
     values, vectors, coefficients = walk.krylov(start)
     gaps = walk.degree - values
-    # Stationary modes, as in the Cesaro limit: e^{-t gap} would amplify their rounding.
+    # Stationary modes: e^{-t gap} would amplify their rounding.
     gaps[np.abs(gaps) <= CLUSTER_TOL] = 0.0
     with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
         decay = np.exp(-t * gaps)
@@ -176,7 +177,7 @@ class ClassAggregate:
 
 
 def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
-    """Per-class |amplitude|^2 sums plus a class-constancy report.
+    """``class_sums`` of |amplitude|^2 plus a class-constancy report.
 
     The deviation is the largest |a_g - mean of a over g's class|; for
     a walk from a class it should sit at rounding noise (the amplitude
@@ -185,12 +186,11 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
     """
     vec = np.asarray(vec)
     index, count = walk.class_index, len(walk.classes)
-    sums = np.bincount(index, weights=np.abs(vec) ** 2, minlength=count)
     means = (np.bincount(index, weights=vec.real, minlength=count)
              + 1j * np.bincount(index, weights=vec.imag, minlength=count))
     means /= np.bincount(index, minlength=count)
     deviation = float(np.max(np.abs(vec - means[index])))
-    return ClassAggregate(sums=dict(zip(walk.classes, sums.tolist())),
+    return ClassAggregate(sums=class_sums(walk, np.abs(vec) ** 2),
                           max_class_deviation=deviation)
 
 
@@ -203,14 +203,9 @@ def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
 def limiting_distribution(walk: DenseWalk, start: Partition) -> dict[Partition, float]:
     """Cesaro time average per class from the start's Krylov decomposition.
 
-    Averaging kills cross terms between distinct eigenvalues, so the
-    limit is sum over eigenvalue clusters of |projection|^2 per vertex.
-    Clusters are split at gaps above ``CLUSTER_TOL``.
+    Averaging kills the cross terms between distinct eigenvalues.  The
+    Ritz values are simple, so the limit is the sum over Ritz pairs of
+    (V_k c_k)^2 per vertex, added in Ritz order.
     """
-    values, vectors, coefficients = walk.krylov(start)
-    order = np.argsort(values)
-    gaps = np.flatnonzero(np.diff(values[order]) > CLUSTER_TOL) + 1
-    probs = np.zeros(len(walk.vertices))
-    for block in np.split(order, gaps):
-        probs += np.abs(vectors[:, block] @ coefficients[block]) ** 2
-    return class_sums(walk, probs)
+    _, vectors, coefficients = walk.krylov(start)
+    return class_sums(walk, sum(((vectors * coefficients) ** 2).T))

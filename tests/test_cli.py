@@ -292,6 +292,34 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
                                 "--t", "0.5", "-o", str(target)), 1)
 
 
+def _assert_failed_stdout_write(code, err, reason):
+    # One JSON line, and nothing from a second flush of the same stdout at exit.
+    assert "Exception ignored" not in err
+    _assert_json_error(code, "", err, 1)
+    assert json.loads(err)["error"] == f"cannot write 'stdout': {reason}"
+
+
+def test_a_closed_stdout_pipe_is_a_usage_error():
+    # 2 MB of CSV, far more than a pipe holds, so the writes after the
+    # first line meet the closed pipe.
+    argv = ["distribution", "--n", "8", "--generator", "2,1,1,1,1,1,1", "--t-grid", "2000"]
+    with subprocess.Popen([sys.executable, "-m", "symwalk", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=_subprocess_env()) as proc:
+        assert proc.stdout.readline() == "t,class,probability\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    _assert_failed_stdout_write(proc.returncode, err, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "symwalk", "table", "--n", "5"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_subprocess_env())
+    _assert_failed_stdout_write(proc.returncode, proc.stderr, "No space left on device")
+
+
 def test_table_too_large_to_print_is_a_resource_refusal(capsys):
     _assert_json_error(*run_cli(capsys, "table", "--n", "3000"), 3)
 
@@ -514,14 +542,19 @@ def test_the_benchmark_tracer_finds_every_span_point():
     # perfbench/inproc.py rebinds symwalk functions by name; a rename in
     # symwalk would silently drop its spans from the benchmark's report.
     root = Path(__file__).resolve().parent.parent
-    request = {"trace": True, "invocations": [
-        {"argv": ["limit", "--n", "4", "--generator", "2,1,1"], "env": {}},
-        {"argv": ["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "8"], "env": {}},
-    ]}
+    argvs = [
+        ["limit", "--n", "4", "--generator", "2,1,1"],
+        ["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "8"],
+        ["verify", "--n", "3"],
+        ["oracle", "--n", "3", "--generator", "2,1", "--t", "0.7"],
+    ]
+    request = {"trace": True, "invocations": [{"argv": argv, "env": {}} for argv in argvs]}
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "inproc.py")],
                           input=json.dumps(request), capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["points_missing"] == []
-    assert [result["rc"] for result in report["results"]] == [0, 0]
+    assert [result["rc"] for result in report["results"]] == [0, 0, 0, 0]
+    names = {span[0] for span in report["spans"]}
+    assert {"verify.suite", "oracle.limit", "oracle.aggregate"} <= names
