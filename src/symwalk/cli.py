@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
     p.add_argument("--detailed", action="store_true",
                    help="include per (t, class) error rows")
 
-    p = sub.add_parser("oracle", help="dense Cayley-graph oracle")
+    p = sub.add_parser("oracle", help="literal Cayley-graph oracle")
     add_common(p, start=True)
     p.add_argument("--generator", action="append", default=[], help="generator class")
     what = p.add_mutually_exclusive_group(required=True)
@@ -425,7 +425,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
-    from .verify import run_suite  # loads numpy, which only the dense oracle needs
+    from .verify import run_suite  # loads numpy, which only the oracle needs
 
     results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
     # CheckResult's fields in declaration order, leaving out None and empty values.

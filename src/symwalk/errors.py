@@ -37,7 +37,7 @@ class SupportMismatchError(DomainError):
 
 class ResourceLimitError(SymwalkError):
     """Requested n exceeds a configured cap, or a command that needs the
-    dense oracle (verify, oracle) runs without numpy."""
+    literal oracle (verify, oracle) runs without numpy."""
 
     exit_code = 3
 

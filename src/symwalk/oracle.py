@@ -4,28 +4,35 @@ Vertices are the permutations of {1..n} in lexicographic one-line order;
 {g, h} is an edge iff the cycle type of g h^{-1} equals the generator
 class.  Every walk starts uniform on a conjugacy class: the graph is
 vertex-transitive, so a walk from one permutation g is the walk from
-the identity relabelled by g.  The graph is built from index arrays:
-s o g for every vertex g at once is ``s[perms - 1]``, ranked by a
-lexicographic code.
+the identity relabelled by g.  The graph is an n! x d neighbour index,
+d the class size: row g lists the ranks of s o g for s in the class, so
+A psi is one gather and a row sum.  A code of its first n - 1 entries
+ranks s o g through a table, and the code is linear in s, so one integer
+product codes a block of rows.
 
 A class-uniform start never leaves its Krylov subspace, which lies in
 the class functions and so has at most p(n) dimensions.  One Lanczos
-run per start class, by products with the literal adjacency matrix,
-gives the exact spectral decomposition of the start inside it (Saad,
-SIAM J. Numer. Anal. 29, 1992); it is reused across every evolution
-time, both quantum e^{itA} and classical e^{-tL}.  Its tridiagonal is
-unreduced, so the Ritz values are simple and the Cesaro limit is one
-sum over the Ritz pairs.  No character theory enters.
+run per start class, by products with the literal adjacency, gives the
+exact spectral decomposition of the start inside it (Saad, SIAM J.
+Numer. Anal. 29, 1992); it is reused across every evolution time, both
+quantum e^{itA} and classical e^{-tL}.  Its tridiagonal is unreduced,
+so the Ritz values are simple and the Cesaro limit is one sum over the
+Ritz pairs.  No character theory enters.
 
 This module is deliberately floating point.  It exists to certify the
 exact spectral engine, not to be certified by it; exact identities are
-delegated to the character and limiting modules.
+delegated to the character and limiting modules.  The Lanczos run and
+the evolutions carry ``np.longdouble`` (plain double where the platform
+has no wider type), and each result rounds to double once, at its
+return: a Ritz value one double ulp off the integer spectrum moves the
+quantum probabilities by t times that ulp.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -39,26 +46,66 @@ CLUSTER_TOL = 1e-6
 # A Lanczos vector whose norm after reorthogonalisation is at most this
 # times the degree (the spectral radius) closes the Krylov subspace.
 KRYLOV_TOL = 1e-10
+# Entries of the neighbour index one block of rows holds, so the build's
+# codes and a product's gathered values stay small whatever the degree.
+BLOCK_ENTRIES = 1 << 15
 
 # Ritz values, Ritz vectors as columns, and the start's coefficients in them.
 Krylov = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+@dataclass(frozen=True)
+class VertexSet:
+    """What every Cayley graph of S_n shares, built once per n.
+
+    ``class_index[g]`` is the position in ``classes`` of vertex g's cycle
+    type.  ``weights[g]`` holds the digit weights that make
+    ``(s - 1) @ weights[g]`` the code of s o g, and ``rank[code]`` is the
+    lex position of the permutation with that code.
+    """
+
+    vertices: tuple[tuple[int, ...], ...]
+    classes: tuple[Partition, ...]
+    class_index: np.ndarray
+    weights: np.ndarray
+    rank: np.ndarray
+
+
+@cache
+def _vertex_set(n: int) -> VertexSet:
+    vertices = tuple(itertools.permutations(range(1, n + 1)))
+    classes = tuple(enumerate_partitions(n))
+    position = {lam: k for k, lam in enumerate(classes)}
+    perms = np.array(vertices)
+    # The first n - 1 entries, less 1, read as base-n digits fix a
+    # permutation, so its code indexes a table of n^(n-1) ranks.  The code
+    # of s o g puts s[j] at digit g^{-1}(j), which argsort reads off g.
+    digits = np.append(n ** np.arange(n - 2, -1, -1), 0)
+    rank = np.zeros(n ** (n - 1), dtype=np.int32)
+    rank[(perms - 1) @ digits] = np.arange(len(vertices))
+    arrays = (np.array([position[cycle_type(v)] for v in vertices]),
+              digits[np.argsort(perms, axis=1)], rank)
+    for array in arrays:
+        array.flags.writeable = False
+    return VertexSet(vertices, classes, *arrays)
+
+
 @dataclass
-class DenseWalk:
-    """The literal walk: all n! vertices plus one reusable Krylov
-    decomposition per start class.
+class CayleyWalk:
+    """The literal walk: all n! vertices, the neighbour index, and one
+    reusable Krylov decomposition per start class.
 
     ``classes`` lists the cycle types in canonical order, and
     ``class_index[i]`` is the position in it of vertex i's cycle type.
+    ``neighbours[g]`` lists the ranks of s o g for s in the generator class.
     """
 
     n: int
     generator: Partition
-    vertices: list[tuple[int, ...]]
-    classes: list[Partition]
+    vertices: tuple[tuple[int, ...], ...]
+    classes: tuple[Partition, ...]
     class_index: np.ndarray
-    adjacency: np.ndarray
+    neighbours: np.ndarray
     _krylov: dict[Partition, Krylov] = field(default_factory=dict, repr=False)
 
     @property
@@ -69,78 +116,93 @@ class DenseWalk:
         """The Lanczos decomposition of the unit-norm start state of
         ``start``, which no evolution time changes."""
         if start not in self._krylov:
-            self._krylov[start] = _lanczos(self.adjacency, _start_state(self, start),
+            self._krylov[start] = _lanczos(self.neighbours, _start_state(self, start),
                                            KRYLOV_TOL * self.degree)
         return self._krylov[start]
 
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each undirected edge once, lexicographically ordered."""
-        rows, cols = np.nonzero(self.adjacency)  # row-major, so the upper half keeps the order
+        size, degree = self.neighbours.shape
+        rows = np.repeat(np.arange(size), degree)
+        cols = np.sort(self.neighbours, axis=1).ravel()
         upper = rows < cols
-        return [(self.vertices[i], self.vertices[j]) for i, j in zip(rows[upper], cols[upper])]
+        return [(self.vertices[i], self.vertices[j])
+                for i, j in zip(rows[upper].tolist(), cols[upper].tolist())]
 
 
-def build_cayley(n: int, gamma: Partition) -> DenseWalk:
+def _row_blocks(size: int, degree: int):
+    step = max(1, BLOCK_ENTRIES // degree)
+    return (slice(lo, lo + step) for lo in range(0, size, step))
+
+
+def build_cayley(n: int, gamma: Partition) -> CayleyWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
-    Default cap is n <= 6 (720 vertices); n = 7 only with SYMWALK_MAX_N=7,
-    whose dense adjacency alone takes 203 MB.
+    Default cap is n <= 6 (720 vertices); n = 7 and 8 run with
+    SYMWALK_MAX_N, whose neighbour index takes n! x |C_gamma| int32s.
     """
-    check_cap(n, ORACLE_CAP, "dense Cayley graph")
+    check_cap(n, ORACLE_CAP, "dense Cayley graph")  # refusal text kept byte-identical
     if gamma.n != n:
         raise DomainError(f"generator {gamma} is not a partition of {n}")
     if gamma == identity_partition(n):
         raise DegenerateGeneratorError("the identity class does not generate a walk")
-    vertices = list(itertools.permutations(range(1, n + 1)))
-    classes = enumerate_partitions(n)
-    position = {lam: k for k, lam in enumerate(classes)}
-    class_index = np.array([position[cycle_type(v)] for v in vertices])
-    perms = np.array(vertices)
-    # Entries 1..n read as base-(n + 1) digits: the codes of the lex-ordered
-    # vertices are increasing, so searchsorted ranks any permutation.
-    digits = (n + 1) ** np.arange(n - 1, -1, -1)
-    codes = perms @ digits
-    targets = np.arange(len(vertices))
-    adjacency = np.zeros((len(vertices), len(vertices)))
-    for s in perms[class_index == position[gamma]]:
-        adjacency[np.searchsorted(codes, s[perms - 1] @ digits), targets] = 1.0
-    return DenseWalk(n=n, generator=gamma, vertices=vertices, classes=classes,
-                     class_index=class_index, adjacency=adjacency)
+    vs = _vertex_set(n)
+    members = np.array(vs.vertices)[vs.class_index == vs.classes.index(gamma)] - 1
+    neighbours = np.empty((len(vs.vertices), len(members)), dtype=np.int32)
+    for rows in _row_blocks(*neighbours.shape):
+        neighbours[rows] = np.take(vs.rank, vs.weights[rows] @ members.T)
+    return CayleyWalk(n=n, generator=gamma, vertices=vs.vertices, classes=vs.classes,
+                      class_index=vs.class_index, neighbours=neighbours)
 
 
-def _start_state(walk: DenseWalk, start: Partition) -> np.ndarray:
+def _times_adjacency(neighbours: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A vec, where (A vec)[g] sums vec over g's neighbours."""
+    out = np.empty_like(vec)
+    for rows in _row_blocks(*neighbours.shape):
+        out[rows] = np.take(vec, neighbours[rows]).sum(axis=1)
+    return out
+
+
+def _start_state(walk: CayleyWalk, start: Partition) -> np.ndarray:
     """The real, unit-norm start vector uniform on a class."""
     if start.n != walk.n:
         raise DomainError(f"start class {start} is not a partition of {walk.n}")
     members = walk.class_index == walk.classes.index(start)
-    return members / np.sqrt(np.count_nonzero(members))
+    return members / np.sqrt(np.longdouble(np.count_nonzero(members)))
 
 
-def _lanczos(adjacency: np.ndarray, start: np.ndarray, tol: float) -> Krylov:
+def _lanczos(neighbours: np.ndarray, start: np.ndarray, tol: float) -> Krylov:
     """Lanczos with full reorthogonalisation from a unit-norm start.
 
     The basis grows until the next vector's norm falls to ``tol`` (the
-    subspace is invariant) or the basis spans the whole space.
+    subspace is invariant) or the basis spans the whole space.  LAPACK
+    has no extended precision, so ``eigh`` sees the tridiagonal in
+    double; each eigenvector, renormalised, then gives its Ritz value as
+    the Rayleigh quotient y^T T y, whose error is quadratic in y's.
+    Products use ``np.dot``, which runs about twice as fast as ``@`` on
+    longdouble arrays.
     """
     basis = [start]
     alphas, betas = [], []
     while True:
-        w = adjacency @ basis[-1]
-        alphas.append(basis[-1] @ w)
+        w = _times_adjacency(neighbours, basis[-1])
+        alphas.append(np.dot(basis[-1], w))
         q = np.array(basis)
         for _ in range(2):  # one pass leaves rounding in the basis directions
-            w -= q.T @ (q @ w)
-        beta = np.linalg.norm(w)
+            w -= np.dot(np.dot(q, w), q)
+        beta = np.sqrt(np.dot(w, w))
         if beta <= tol or len(basis) == len(start):
             break
         betas.append(beta)
         basis.append(w / beta)
     tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    values, vectors = np.linalg.eigh(tridiagonal)
-    return values, q.T @ vectors, vectors[0]
+    vectors = np.linalg.eigh(tridiagonal.astype(float))[1].astype(np.longdouble)
+    vectors /= np.sqrt((vectors * vectors).sum(axis=0))
+    values = (vectors * np.dot(tridiagonal, vectors)).sum(axis=0)
+    return values, np.dot(q.T, vectors), vectors[0]
 
 
-def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
+def evolve_quantum(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
     """e^{itA} applied to the start class state, via its cached Krylov
     decomposition."""
     if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
@@ -148,10 +210,10 @@ def evolve_quantum(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     values, vectors, coefficients = walk.krylov(start)
     # The Ritz vectors are real: the phased coefficients go back as two real products.
     c = np.exp(1j * t * values) * coefficients
-    return vectors @ c.real + 1j * (vectors @ c.imag)
+    return (np.dot(vectors, c.real) + 1j * np.dot(vectors, c.imag)).astype(complex)
 
 
-def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
+def evolve_classical(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
     """e^{-tL} applied to the start distribution, L = dI - A.
 
     The start distribution is the quantum start state over sqrt|C_mu|,
@@ -167,7 +229,8 @@ def evolve_classical(walk: DenseWalk, start: Partition, t: float) -> np.ndarray:
     gaps[np.abs(gaps) <= CLUSTER_TOL] = 0.0
     with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
         decay = np.exp(-t * gaps)
-    return np.maximum(vectors @ (decay * coefficients) / np.sqrt(class_size(start)), 0.0)
+    density = np.dot(vectors, decay * coefficients) / np.sqrt(np.longdouble(class_size(start)))
+    return np.maximum(density, 0.0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -176,7 +239,7 @@ class ClassAggregate:
     max_class_deviation: float
 
 
-def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
+def class_aggregate(walk: CayleyWalk, vec: np.ndarray) -> ClassAggregate:
     """``class_sums`` of |amplitude|^2 plus a class-constancy report.
 
     The deviation is the largest |a_g - mean of a over g's class|; for
@@ -194,18 +257,18 @@ def class_aggregate(walk: DenseWalk, vec: np.ndarray) -> ClassAggregate:
                           max_class_deviation=deviation)
 
 
-def class_sums(walk: DenseWalk, vec: np.ndarray) -> dict[Partition, float]:
+def class_sums(walk: CayleyWalk, vec: np.ndarray) -> dict[Partition, float]:
     """Plain per-class sums of a real vector (classical probabilities)."""
     totals = np.bincount(walk.class_index, weights=vec, minlength=len(walk.classes))
     return dict(zip(walk.classes, totals.tolist()))
 
 
-def limiting_distribution(walk: DenseWalk, start: Partition) -> dict[Partition, float]:
+def limiting_distribution(walk: CayleyWalk, start: Partition) -> dict[Partition, float]:
     """Cesaro time average per class from the start's Krylov decomposition.
 
     Averaging kills the cross terms between distinct eigenvalues.  The
     Ritz values are simple, so the limit is the sum over Ritz pairs of
-    (V_k c_k)^2 per vertex, added in Ritz order.
+    (V_k c_k)^2 per vertex.
     """
     _, vectors, coefficients = walk.krylov(start)
-    return class_sums(walk, sum(((vectors * coefficients) ** 2).T))
+    return class_sums(walk, ((vectors * coefficients) ** 2).sum(axis=1).astype(float))

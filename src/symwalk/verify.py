@@ -1,4 +1,4 @@
-"""Cross-engine verification: spectral formulas against the dense oracle
+"""Cross-engine verification: spectral formulas against the literal oracle
 and the closed-form character formulas against the abacus engine.
 
 Each check returns a CheckResult, except the three oracle comparisons:
@@ -63,10 +63,11 @@ def generator_classes(n: int) -> list[Partition]:
     return [lam for lam in classes if lam != ident]
 
 
-def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, times,
+def check_quantum_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum, times,
                             rows: list | None = None) -> float:
-    """Worst gap between spectral class probabilities and dense e^{itA}
-    on one graph, identity start; appends per (t, class) rows if given."""
+    """Worst gap between spectral class probabilities and the oracle's
+    e^{itA} on one graph, identity start; appends per (t, class) rows if
+    given."""
     ident = identity_partition(walk.n)
     worst = 0.0
     for t in times:
@@ -82,9 +83,9 @@ def check_quantum_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum, time
     return worst
 
 
-def check_classical_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> float:
-    """Worst gap between the spectral classical engine and dense e^{-tL}
-    on one graph, identity start."""
+def check_classical_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum) -> float:
+    """Worst gap between the spectral classical engine and the oracle's
+    e^{-tL} on one graph, identity start."""
     ident = identity_partition(walk.n)
     worst = 0.0
     for t in CLASSICAL_TIMES:
@@ -94,8 +95,8 @@ def check_classical_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) ->
     return worst
 
 
-def check_limiting_vs_oracle(walk: oracle_mod.DenseWalk, spec: WalkSpectrum) -> float:
-    """Worst gap between the exact limiting distribution and the dense
+def check_limiting_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum) -> float:
+    """Worst gap between the exact limiting distribution and the oracle's
     Cesaro average on one graph, identity start."""
     ident = identity_partition(walk.n)
     dense = oracle_mod.limiting_distribution(walk, ident)
@@ -198,7 +199,7 @@ def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[Check
     One spectrum per generator class feeds every check that needs one;
     a generator whose spectrum fails is left out of the oracle
     comparisons, and every check still reports.
-    The oracle checks share one dense graph and one Krylov
+    The oracle checks share one graph and one Krylov
     decomposition of the identity start per generator class; the quantum
     one samples t_samples times over one period.
     """

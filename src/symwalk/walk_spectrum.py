@@ -22,7 +22,7 @@ sums of coefficient times those factors over the nonzero coefficients, so
 destructive interference that is exact in the algebra (e.g. odd classes
 under an even generator) is exact in the output as well.  Evaluation is
 plain Python (``math`` and lists), so no walk command imports numpy;
-only the dense oracle does.  Float sums use ``sum()``, which adds left
+only the literal oracle does.  Float sums use ``sum()``, which adds left
 to right up to Python 3.11 and compensates rounding from 3.12, so the
 last bits of a float output depend on the interpreter.
 """

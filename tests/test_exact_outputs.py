@@ -1,7 +1,7 @@
 """Exact CLI outputs pinned by the SHA-256 digest of their stdout.
 
-Character tables, exact limits and n = 30 spectra must stay bit-identical
-across refactors; a digest here changes only when an exact output does.
+Character tables, exact limits, n = 30 spectra and the oracle's edge lists
+(every generator at n = 2..6) must stay bit-identical across refactors; a digest here changes only when an exact output does.
 """
 
 import hashlib
@@ -21,6 +21,9 @@ def _argvs():
         yield ("limit", "--n", "7", "--generator", str(gamma)), None
     for gamma in ("30", "7" + ",1" * 23, "2" + ",1" * 28):
         yield ("spectrum", "--n", "30", "--generator", gamma, "--format", "csv"), None
+    for n in range(2, 7):
+        for gamma in enumerate_partitions(n)[:-1]:
+            yield ("oracle", "--n", str(n), "--generator", str(gamma), "--dump-adjacency"), None
 
 
 ARGVS = list(_argvs())
@@ -122,6 +125,52 @@ DIGESTS = {
         "fcfe7c179671aae0b87a4930395b8bbcdb10151c757a8e023198d8cc072a7922",
     "spectrum --n 30 --generator 2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --format csv":
         "8bdfc3a78d299a2884ec8e0fe5f3c5a6266dac7e2398e8a38e966915a386bcee",
+    "oracle --n 2 --generator 2 --dump-adjacency":
+        "2b39f514153e89d2d08e903c5b3a45435cfa07d3dd28c8b7241c28c10c59ded1",
+    "oracle --n 3 --generator 3 --dump-adjacency":
+        "e6b22cf4090fd3e5726bb3395090c39ade4f1c5b094b37da655726ea32ed7bb8",
+    "oracle --n 3 --generator 2,1 --dump-adjacency":
+        "42945bc30050c769e33d5c8155497f865ee34254aef833d02743cb6f4dee47ef",
+    "oracle --n 4 --generator 4 --dump-adjacency":
+        "de7e848c66f909856b02c2f5cf7bc7562227168daf6d4cd6c36733926ae2704d",
+    "oracle --n 4 --generator 3,1 --dump-adjacency":
+        "ce4c1b8b8e96e79d5b44d9c05ab014711a94fe8d5cd5cb2596f3810305336017",
+    "oracle --n 4 --generator 2,2 --dump-adjacency":
+        "d301a3e262227aaec71610ee136ed6f475ad9fc1026ed1c27315b83ad00fc684",
+    "oracle --n 4 --generator 2,1,1 --dump-adjacency":
+        "8c0fca34d90784fa4e84dc0fccb3128051c2bb1ac79fab7b74f4c1e9ea00ba2b",
+    "oracle --n 5 --generator 5 --dump-adjacency":
+        "89435089654198265df7424aa4b94d545d7c24223b5d3ed67763391fba0c363c",
+    "oracle --n 5 --generator 4,1 --dump-adjacency":
+        "b4ab1149dce1d5d142a2ff7b767f64c48c62d811ea70cfb59a9fa48c59ee24f2",
+    "oracle --n 5 --generator 3,2 --dump-adjacency":
+        "e8495ba6df279fbeabfc0c75778ee1d31e1936868a337eb482be23dc5749253e",
+    "oracle --n 5 --generator 3,1,1 --dump-adjacency":
+        "ecab8940b8a32103ed4c8160f3948529bb150563094f98ec3dad8f3c49675a96",
+    "oracle --n 5 --generator 2,2,1 --dump-adjacency":
+        "9914349ae6f2348b501e967c5ee917efba292d99b68216a493ac4209b9534ba8",
+    "oracle --n 5 --generator 2,1,1,1 --dump-adjacency":
+        "1ac82dbbd5ce5d08123eef60395df197dd5f28f1243f4b61f7dcf0da21c292a9",
+    "oracle --n 6 --generator 6 --dump-adjacency":
+        "17713d08ef9103a90dc877cd3872828e53a8300f566b37cd2a625fbf2b7f1a18",
+    "oracle --n 6 --generator 5,1 --dump-adjacency":
+        "16ce26eefb772189611d993b3d18dee8e5c5e687e8478c2aac3e6c30bcfed34f",
+    "oracle --n 6 --generator 4,2 --dump-adjacency":
+        "c4ab17b23ae6c41419a5eebfc71cf57f484fab0386c05fd3b8d9cc1c0c665c19",
+    "oracle --n 6 --generator 4,1,1 --dump-adjacency":
+        "e08ba6260ab439f75330cff371b7ee8fc6728e249fd29bb0a11bc49a9ebdee56",
+    "oracle --n 6 --generator 3,3 --dump-adjacency":
+        "49777fbfb29a4659bf1ee17782be4080f27ad8048199833027bdb036820be246",
+    "oracle --n 6 --generator 3,2,1 --dump-adjacency":
+        "a22931a70f646695ce13a2c21971ee1a27ca644e1a91eec910bc7e74640d82e3",
+    "oracle --n 6 --generator 3,1,1,1 --dump-adjacency":
+        "5dc38547a1c1699c3ddb2025f6da5acfe9650a56a0a7cdb417ad03e320c2f29e",
+    "oracle --n 6 --generator 2,2,2 --dump-adjacency":
+        "560fd7d218dad3bdcce65f61b878c5202caef86249510055c80f008270107835",
+    "oracle --n 6 --generator 2,2,1,1 --dump-adjacency":
+        "1a337c7b11cc79358b54b2fd856993c2e5c768ec13da07c81565c7f63cd0d919",
+    "oracle --n 6 --generator 2,1,1,1,1 --dump-adjacency":
+        "8195795083d7340ae4a96c27808e1248f2067ca09bfce6628af873a7ed2752dc",
 }
 
 

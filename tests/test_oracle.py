@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -39,33 +40,44 @@ from symwalk.walk_spectrum import (
 from conftest import partition_count, transpositions
 
 
+def dense_adjacency(walk):
+    """The n! x n! adjacency matrix, one count per entry of the neighbour
+    index, so a repeated neighbour shows as a 2."""
+    size, degree = walk.neighbours.shape
+    out = np.zeros((size, size))
+    np.add.at(out, (np.repeat(np.arange(size), degree), walk.neighbours.ravel()), 1.0)
+    return out
+
+
 def test_n2_single_edge():
     walk = build_cayley(2, Partition((2,)))
     assert len(walk.vertices) == 2
-    assert walk.adjacency.tolist() == [[0, 1], [1, 0]]
+    assert walk.neighbours.tolist() == [[1], [0]]
+    assert dense_adjacency(walk).tolist() == [[0, 1], [1, 0]]
 
 
 def test_n3_transpositions_is_bipartite_cubic():
     walk = build_cayley(3, Partition((2, 1)))
+    adjacency = dense_adjacency(walk)
     assert len(walk.vertices) == 6
-    assert (walk.adjacency.sum(axis=0) == 3).all()
+    assert (adjacency.sum(axis=0) == 3).all()
     # K_{3,3}: edges only between even and odd permutations
     parity = [is_even_class(walk.classes[k]) for k in walk.class_index]
     for i in range(6):
         for j in range(6):
-            if walk.adjacency[i, j]:
+            if adjacency[i, j]:
                 assert parity[i] != parity[j]
 
 
 def test_n3_full_cycles_are_two_triangles():
     walk = build_cayley(3, Partition((3,)))
-    assert (walk.adjacency.sum(axis=0) == 2).all()
+    assert (dense_adjacency(walk).sum(axis=0) == 2).all()
     # identity's component is the alternating group: 3 vertices
     reach = {0}  # the identity is the first vertex in lex order
     frontier = list(reach)
     while frontier:
         i = frontier.pop()
-        for j in np.nonzero(walk.adjacency[:, i])[0]:
+        for j in walk.neighbours[i]:
             if j not in reach:
                 reach.add(int(j))
                 frontier.append(int(j))
@@ -74,28 +86,29 @@ def test_n3_full_cycles_are_two_triangles():
 
 def test_vertex_order_is_lexicographic():
     walk = build_cayley(3, Partition((2, 1)))
-    assert walk.vertices[:2] == [(1, 2, 3), (1, 3, 2)]
-    assert walk.vertices == sorted(walk.vertices)
+    assert walk.vertices[:2] == ((1, 2, 3), (1, 3, 2))
+    assert list(walk.vertices) == sorted(walk.vertices)
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_degree_equals_class_size(n):
     for gamma in generator_classes(n):
-        walk = build_cayley(n, gamma)
-        assert (walk.adjacency.sum(axis=0) == class_size(gamma)).all()
-        assert np.allclose(walk.adjacency, walk.adjacency.T)
-        assert not walk.adjacency.diagonal().any()
+        adjacency = dense_adjacency(build_cayley(n, gamma))
+        assert (adjacency.sum(axis=0) == class_size(gamma)).all()
+        assert np.allclose(adjacency, adjacency.T)
+        assert not adjacency.diagonal().any()
 
 
 def test_adjacency_membership_rule():
     # edge {g, h} iff the cycle type of g o h^{-1} is the generator class
     walk = build_cayley(4, Partition((2, 2)))
+    adjacency = dense_adjacency(walk)
     for i, g in enumerate(walk.vertices):
         for j, h in enumerate(walk.vertices):
             hinv = _inverse(h)
             prod = tuple(g[hinv[x] - 1] for x in range(4))
             expected = cycle_type(prod) == walk.generator
-            assert bool(walk.adjacency[i, j]) == expected
+            assert bool(adjacency[i, j]) == expected
 
 
 def _inverse(g):
@@ -121,11 +134,11 @@ def adjacency_right_convention(walk):
 def test_edge_convention_identity():
     # Each S_n element is conjugate to its inverse, so the two edge rules
     # coincide for class generating sets.  The loop reference also pins
-    # the array-built adjacency exactly, for every generator at n <= 4.
+    # the neighbour index exactly, for every generator at n <= 4.
     cases = [(n, gamma) for n in (2, 3, 4) for gamma in generator_classes(n)]
     for n, gamma in cases + [(5, Partition((3, 1, 1)))]:
         walk = build_cayley(n, gamma)
-        assert np.array_equal(walk.adjacency, adjacency_right_convention(walk))
+        assert np.array_equal(dense_adjacency(walk), adjacency_right_convention(walk))
 
 
 def test_caps():
@@ -172,7 +185,7 @@ def test_non_class_start_reports_deviation():
     # eigensystem, which the oracle itself never computes
     walk = build_cayley(3, Partition((2, 1)))
     i = walk.vertices.index((2, 1, 3))
-    evals, evecs = np.linalg.eigh(walk.adjacency)
+    evals, evecs = np.linalg.eigh(dense_adjacency(walk))
     psi = evecs @ (np.exp(0.8j * evals) * evecs[i])
     agg = class_aggregate(walk, psi)
     assert agg.max_class_deviation > 1e-3  # not a class function
@@ -270,7 +283,7 @@ def test_quantum_matches_spectral_engine_all_generators(n):
 def test_adjacency_spectrum_matches_engine_multiset(n):
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        evals = np.sort(np.linalg.eigh(walk.adjacency)[0])
+        evals = np.sort(np.linalg.eigh(dense_adjacency(walk))[0])
         spec = spectrum(n, ClassFunction.indicator(gamma))
         multiset = np.sort(
             np.concatenate([[float(r.eigenvalue)] * (r.dim**2) for r in spec.records])
@@ -328,16 +341,22 @@ def test_krylov_dimension_is_at_most_the_class_count(n):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_a_dropped_edge_fails_the_quantum_check(monkeypatch, n):
-    # The oracle reads nothing but the literal adjacency, so it cannot pass
-    # vacuously: one missing edge pair, the last in lex order, shows in
-    # every oracle check.  The classical and limit errors read 4.5e-1 and
-    # 1.7e-1 at n = 3, and 4.7e-2 and 9.2e-2 at n = 4.
+    # The oracle reads nothing but the neighbour index, so it cannot pass
+    # vacuously: one edge pair {g, h} rewired into loops at g and h shows in
+    # every oracle check.  The pair is the first in lex order, at the
+    # identity every check starts from; the quantum, classical and limit
+    # errors read 9.4e-1, 1.9e-1 and 3.3e-1 at n = 3, and 1.0, 1.2e-1 and
+    # 4.2e-1 at n = 4.  Loops keep every degree, so the classical walk
+    # still conserves mass: the last pair in lex order moves its error to
+    # 5.3e-3 only at n = 4.
     build = oracle.build_cayley
 
     def broken(n, gamma):
         walk = build(n, gamma)
-        rows, cols = np.nonzero(np.triu(walk.adjacency))
-        walk.adjacency[rows[-1], cols[-1]] = walk.adjacency[cols[-1], rows[-1]] = 0.0
+        index = walk.neighbours = walk.neighbours.copy()
+        h = index[0].min()  # the identity is vertex 0
+        index[0][index[0] == h] = 0
+        index[h][index[h] == 0] = h
         return walk
 
     monkeypatch.setattr(oracle, "build_cayley", broken)
@@ -359,14 +378,64 @@ def test_the_ritz_values_of_a_class_start_are_simple(n):
             assert np.all(np.diff(values) >= 0.5), (gamma, start, values)
 
 
-def test_the_oracle_at_n7_matches_the_engine(capsys, monkeypatch):
-    monkeypatch.setenv("SYMWALK_MAX_N", "7")
-    argv = ["--n", "7", "--generator", "7", "--t", "0.7"]
+def _oracle_matches_the_engine(capsys, monkeypatch, n, generator):
+    monkeypatch.setenv("SYMWALK_MAX_N", str(n))
+    argv = ["--n", str(n), "--generator", generator, "--t", "0.7"]
     assert main(["oracle", *argv]) == 0
     dense = json.loads(capsys.readouterr().out)["classes"]
     assert main(["distribution", *argv]) == 0
     exact = json.loads(capsys.readouterr().out)["classes"]
-    assert len(dense) == len(exact) == partition_count(7)
+    assert len(dense) == len(exact) == partition_count(n)
     for row, want in zip(dense, exact):
         assert row["partition"] == want["partition"]
         assert abs(row["probability"] - want["probability"]) < 1e-12
+
+
+def test_the_oracle_at_n7_matches_the_engine(capsys, monkeypatch):
+    _oracle_matches_the_engine(capsys, monkeypatch, 7, "7")
+
+
+def test_the_oracle_at_n8_matches_the_engine(capsys, monkeypatch):
+    # 40,320 vertices: the n! x n! float matrix would take 13 GB, the
+    # neighbour index takes 4.5 MB.
+    _oracle_matches_the_engine(capsys, monkeypatch, 8, "2" + ",1" * 6)
+
+
+def test_the_vertex_set_is_built_once_per_n(monkeypatch):
+    # Every graph of S_n reads one cycle type per vertex from the cached
+    # vertex set, so six generators at n = 5 cost 120 calls, not 720.
+    calls = []
+
+    def counted(perm):
+        calls.append(perm)
+        return cycle_type(perm)
+
+    monkeypatch.setattr(oracle, "cycle_type", counted)
+    oracle._vertex_set.cache_clear()
+    for gamma in generator_classes(5):
+        build_cayley(5, gamma)
+    assert len(calls) == factorial(5)
+
+
+@pytest.mark.parametrize("gamma", generator_classes(6), ids=str)
+def test_a_graph_and_its_krylov_run_fit_in_2mb_at_n6(gamma):
+    # The n! x n! float matrix alone took 4.1 MB; the neighbour index takes
+    # n! x |C_gamma| int32s, and the row blocks bound every temporary.
+    oracle._vertex_set.cache_clear()
+    tracemalloc.start()
+    try:
+        build_cayley(6, gamma).krylov(identity_partition(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is plain double on this platform")
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_the_extended_krylov_run_keeps_the_quantum_error_small(n):
+    # A Ritz value one double ulp off the integer spectrum gave 1.4e-14 at
+    # n = 6; the longdouble run reads 2.3e-15.
+    results = {r.name: r for r in verify.run_suite(n)}
+    assert results["quantum_vs_oracle"].max_abs_error <= 5e-15
