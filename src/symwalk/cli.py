@@ -348,18 +348,19 @@ def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
 
 def _cmd_distribution(cfg: argparse.Namespace) -> int:
     spec = _walk_spectrum(cfg)
-    engine = classical_class_distribution if cfg.classical else class_distribution
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
+        kernel = spec.kernel(cfg.start)
+        probs = kernel.classical_probabilities if cfg.classical else kernel.quantum_probabilities
         points = ["t,class,probability\n"]  # one string per time point, written at the end
         labels = [f",\"{lam}\"," for lam in spec.classes]
         for j in range(steps):
             t = lo + (hi - lo) * j / max(steps - 1, 1)
             head = repr(t)
-            probs = engine(spec, cfg.start, t).probs.values()
-            points.append("".join([f"{head}{label}{p!r}\n" for label, p in zip(labels, probs)]))
+            points.append("".join([f"{head}{label}{p!r}\n" for label, p in zip(labels, probs(t))]))
         _emit(cfg, *points)
         return 0
+    engine = classical_class_distribution if cfg.classical else class_distribution
     dist = engine(spec, cfg.start, cfg.t)
     _emit(cfg, _json(_distribution_json(cfg, dist)))
     return 0
@@ -451,9 +452,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
     walk = oracle_mod.build_cayley(cfg.n, gamma)
     cfg.start = cfg.start or identity_partition(cfg.n)  # as in _walk_spectrum
     if cfg.dump_adjacency:
-        lines = ["perm_g,perm_h"]
-        for g, h in walk.edges():
-            lines.append(f"\"{' '.join(map(str, g))}\",\"{' '.join(map(str, h))}\"")
+        lines = ["perm_g,perm_h", *(f"\"{g}\",\"{h}\"" for g, h in walk.edges())]
         _emit(cfg, "\n".join(lines) + "\n")
         return 0
     if cfg.classical:

@@ -7,8 +7,8 @@ vertex-transitive, so a walk from one permutation g is the walk from
 the identity relabelled by g.  The graph is an n! x d neighbour index,
 d the class size: row g lists the ranks of s o g for s in the class, so
 A psi is one gather and a row sum.  A code of its first n - 1 entries
-ranks s o g through a table, and the code is linear in s, so one integer
-product codes a block of rows.
+ranks s o g through a table that each build makes and frees, and the
+code is linear in s, so one integer product codes a block of rows.
 
 A class-uniform start never leaves its Krylov subspace, which lies in
 the class functions and so has at most p(n) dimensions.  One Lanczos
@@ -50,7 +50,8 @@ KRYLOV_TOL = 1e-10
 # codes and a product's gathered values stay small whatever the degree.
 BLOCK_ENTRIES = 1 << 15
 
-# Ritz values, Ritz vectors as columns, and the start's coefficients in them.
+# Ritz values theta, the tridiagonal's eigenvectors Y as columns, and the
+# basis Q as rows, the start its row 0: f(A) start = Q^T Y f(theta) Y^T e_1.
 Krylov = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -58,36 +59,35 @@ Krylov = tuple[np.ndarray, np.ndarray, np.ndarray]
 class VertexSet:
     """What every Cayley graph of S_n shares, built once per n.
 
-    ``class_index[g]`` is the position in ``classes`` of vertex g's cycle
-    type.  ``weights[g]`` holds the digit weights that make
-    ``(s - 1) @ weights[g]`` the code of s o g, and ``rank[code]`` is the
-    lex position of the permutation with that code.
+    ``vertices`` holds the permutations as the rows of one n! x n int8
+    array, in lex order.  ``class_index[g]`` is the position in ``classes``
+    of vertex g's cycle type, and ``weights[g]`` holds the digit weights
+    that make ``(s - 1) @ weights[g]`` the code of s o g.
     """
 
-    vertices: tuple[tuple[int, ...], ...]
+    vertices: np.ndarray
     classes: tuple[Partition, ...]
     class_index: np.ndarray
     weights: np.ndarray
-    rank: np.ndarray
 
 
 @cache
 def _vertex_set(n: int) -> VertexSet:
-    vertices = tuple(itertools.permutations(range(1, n + 1)))
+    symbols = range(1, n + 1)
+    entries = itertools.chain.from_iterable(itertools.permutations(symbols))
+    vertices = np.fromiter(entries, dtype=np.int8).reshape(-1, n)
     classes = tuple(enumerate_partitions(n))
     position = {lam: k for k, lam in enumerate(classes)}
-    perms = np.array(vertices)
+    class_index = np.fromiter((position[cycle_type(v)] for v in itertools.permutations(symbols)),
+                              dtype=np.intp, count=len(vertices))
     # The first n - 1 entries, less 1, read as base-n digits fix a
-    # permutation, so its code indexes a table of n^(n-1) ranks.  The code
-    # of s o g puts s[j] at digit g^{-1}(j), which argsort reads off g.
+    # permutation, so its code indexes a table of ranks.  The code of s o g
+    # puts s[j] at digit g^{-1}(j), which argsort reads off g.
     digits = np.append(n ** np.arange(n - 2, -1, -1), 0)
-    rank = np.zeros(n ** (n - 1), dtype=np.int32)
-    rank[(perms - 1) @ digits] = np.arange(len(vertices))
-    arrays = (np.array([position[cycle_type(v)] for v in vertices]),
-              digits[np.argsort(perms, axis=1)], rank)
-    for array in arrays:
+    weights = digits[np.argsort(vertices, axis=1)]
+    for array in (vertices, class_index, weights):
         array.flags.writeable = False
-    return VertexSet(vertices, classes, *arrays)
+    return VertexSet(vertices, classes, class_index, weights)
 
 
 @dataclass
@@ -102,7 +102,7 @@ class CayleyWalk:
 
     n: int
     generator: Partition
-    vertices: tuple[tuple[int, ...], ...]
+    vertices: np.ndarray
     classes: tuple[Partition, ...]
     class_index: np.ndarray
     neighbours: np.ndarray
@@ -113,21 +113,25 @@ class CayleyWalk:
         return class_size(self.generator)
 
     def krylov(self, start: Partition) -> Krylov:
-        """The Lanczos decomposition of the unit-norm start state of
-        ``start``, which no evolution time changes."""
+        """The Lanczos decomposition of the real, unit-norm start state
+        uniform on ``start``, which no evolution time changes."""
+        if start.n != self.n:
+            raise DomainError(f"start class {start} is not a partition of {self.n}")
         if start not in self._krylov:
-            self._krylov[start] = _lanczos(self.neighbours, _start_state(self, start),
+            members = self.class_index == self.classes.index(start)
+            state = members / np.sqrt(np.longdouble(np.count_nonzero(members)))
+            self._krylov[start] = _lanczos(self.neighbours, state, len(self.classes),
                                            KRYLOV_TOL * self.degree)
         return self._krylov[start]
 
-    def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each undirected edge once, lexicographically ordered."""
+    def edges(self) -> list[tuple[str, str]]:
+        """Each undirected edge once, in lex order, as two one-line labels."""
         size, degree = self.neighbours.shape
         rows = np.repeat(np.arange(size), degree)
         cols = np.sort(self.neighbours, axis=1).ravel()
         upper = rows < cols
-        return [(self.vertices[i], self.vertices[j])
-                for i, j in zip(rows[upper].tolist(), cols[upper].tolist())]
+        labels = [" ".join(map(str, v)) for v in self.vertices.tolist()]
+        return [(labels[i], labels[j]) for i, j in zip(rows[upper].tolist(), cols[upper].tolist())]
 
 
 def _row_blocks(size: int, degree: int):
@@ -138,8 +142,9 @@ def _row_blocks(size: int, degree: int):
 def build_cayley(n: int, gamma: Partition) -> CayleyWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
-    Default cap is n <= 6 (720 vertices); n = 7 and 8 run with
-    SYMWALK_MAX_N, whose neighbour index takes n! x |C_gamma| int32s.
+    Default cap is n <= 6 (720 vertices); SYMWALK_MAX_N lifts it.  The
+    neighbour index takes n! x |C_gamma| int32s, and the build's rank table
+    n^(n-1) more, freed with the build: 172 MB at n = 9.
     """
     check_cap(n, ORACLE_CAP, "dense Cayley graph")  # refusal text kept byte-identical
     if gamma.n != n:
@@ -147,12 +152,14 @@ def build_cayley(n: int, gamma: Partition) -> CayleyWalk:
     if gamma == identity_partition(n):
         raise DegenerateGeneratorError("the identity class does not generate a walk")
     vs = _vertex_set(n)
-    members = np.array(vs.vertices)[vs.class_index == vs.classes.index(gamma)] - 1
+    # rank[code] is the lex position of the code's permutation g, coded as id o g.
+    rank = np.zeros(n ** (n - 1), dtype=np.int32)
+    rank[vs.weights @ np.arange(n)] = np.arange(len(vs.vertices))
+    members = vs.vertices[vs.class_index == vs.classes.index(gamma)] - 1
     neighbours = np.empty((len(vs.vertices), len(members)), dtype=np.int32)
     for rows in _row_blocks(*neighbours.shape):
-        neighbours[rows] = np.take(vs.rank, vs.weights[rows] @ members.T)
-    return CayleyWalk(n=n, generator=gamma, vertices=vs.vertices, classes=vs.classes,
-                      class_index=vs.class_index, neighbours=neighbours)
+        neighbours[rows] = np.take(rank, vs.weights[rows] @ members.T)
+    return CayleyWalk(n, gamma, vs.vertices, vs.classes, vs.class_index, neighbours)
 
 
 def _times_adjacency(neighbours: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -163,43 +170,36 @@ def _times_adjacency(neighbours: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _start_state(walk: CayleyWalk, start: Partition) -> np.ndarray:
-    """The real, unit-norm start vector uniform on a class."""
-    if start.n != walk.n:
-        raise DomainError(f"start class {start} is not a partition of {walk.n}")
-    members = walk.class_index == walk.classes.index(start)
-    return members / np.sqrt(np.longdouble(np.count_nonzero(members)))
-
-
-def _lanczos(neighbours: np.ndarray, start: np.ndarray, tol: float) -> Krylov:
+def _lanczos(neighbours: np.ndarray, start: np.ndarray, dimension: int, tol: float) -> Krylov:
     """Lanczos with full reorthogonalisation from a unit-norm start.
 
-    The basis grows until the next vector's norm falls to ``tol`` (the
-    subspace is invariant) or the basis spans the whole space.  LAPACK
+    The basis fills the rows of one array until the next vector's norm
+    falls to ``tol`` (the subspace is invariant) or it holds ``dimension``
+    rows, the most a class-uniform start's subspace can have.  LAPACK
     has no extended precision, so ``eigh`` sees the tridiagonal in
     double; each eigenvector, renormalised, then gives its Ritz value as
     the Rayleigh quotient y^T T y, whose error is quadratic in y's.
     Products use ``np.dot``, which runs about twice as fast as ``@`` on
     longdouble arrays.
     """
-    basis = [start]
+    basis = np.empty((dimension, len(start)), dtype=start.dtype)
+    basis[0] = start
     alphas, betas = [], []
-    while True:
-        w = _times_adjacency(neighbours, basis[-1])
-        alphas.append(np.dot(basis[-1], w))
-        q = np.array(basis)
+    for k in range(1, dimension + 1):
+        w = _times_adjacency(neighbours, basis[k - 1])
+        alphas.append(np.dot(basis[k - 1], w))
         for _ in range(2):  # one pass leaves rounding in the basis directions
-            w -= np.dot(np.dot(q, w), q)
+            w -= np.dot(np.dot(basis[:k], w), basis[:k])
         beta = np.sqrt(np.dot(w, w))
-        if beta <= tol or len(basis) == len(start):
+        if beta <= tol or k == dimension:
             break
         betas.append(beta)
-        basis.append(w / beta)
+        basis[k] = w / beta
     tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     vectors = np.linalg.eigh(tridiagonal.astype(float))[1].astype(np.longdouble)
     vectors /= np.sqrt((vectors * vectors).sum(axis=0))
     values = (vectors * np.dot(tridiagonal, vectors)).sum(axis=0)
-    return values, np.dot(q.T, vectors), vectors[0]
+    return values, vectors, basis[:k]
 
 
 def evolve_quantum(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
@@ -207,10 +207,10 @@ def evolve_quantum(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
     decomposition."""
     if not np.isfinite(t * walk.degree):  # the degree is the largest |eigenvalue|
         raise DomainError(f"time {t!r} overflows the phase t*lambda")
-    values, vectors, coefficients = walk.krylov(start)
-    # The Ritz vectors are real: the phased coefficients go back as two real products.
-    c = np.exp(1j * t * values) * coefficients
-    return (np.dot(vectors, c.real) + 1j * np.dot(vectors, c.imag)).astype(complex)
+    values, ritz, basis = walk.krylov(start)
+    # The basis is real: the phased coordinates go back as two real products.
+    c = np.dot(ritz, np.exp(1j * t * values) * ritz[0])
+    return (np.dot(c.real, basis) + 1j * np.dot(c.imag, basis)).astype(complex)
 
 
 def evolve_classical(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
@@ -223,13 +223,13 @@ def evolve_classical(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray
         raise DomainError("classical walk time must be nonnegative")
     if not np.isfinite(t):  # e^{-t gap} would take inf * 0 on the stationary modes
         raise DomainError(f"time must be a finite number, got {t!r}")
-    values, vectors, coefficients = walk.krylov(start)
+    values, ritz, basis = walk.krylov(start)
     gaps = walk.degree - values
     # Stationary modes: e^{-t gap} would amplify their rounding.
     gaps[np.abs(gaps) <= CLUSTER_TOL] = 0.0
     with np.errstate(over="ignore"):  # t*gap may round to inf; e^-inf is 0
-        decay = np.exp(-t * gaps)
-    density = np.dot(vectors, decay * coefficients) / np.sqrt(np.longdouble(class_size(start)))
+        decay = np.exp(-t * gaps) / np.sqrt(np.longdouble(class_size(start)))
+    density = np.dot(np.dot(ritz, decay * ritz[0]), basis)
     return np.maximum(density, 0.0).astype(float)
 
 
@@ -268,7 +268,7 @@ def limiting_distribution(walk: CayleyWalk, start: Partition) -> dict[Partition,
 
     Averaging kills the cross terms between distinct eigenvalues.  The
     Ritz values are simple, so the limit is the sum over Ritz pairs of
-    (V_k c_k)^2 per vertex.
+    (Q^T Y_k c_k)^2 per vertex, with c = Y^T e_1.
     """
-    _, vectors, coefficients = walk.krylov(start)
-    return class_sums(walk, ((vectors * coefficients) ** 2).sum(axis=1).astype(float))
+    _, ritz, basis = walk.krylov(start)
+    return class_sums(walk, sum(np.dot(y, basis) ** 2 for y in (ritz * ritz[0]).T).astype(float))

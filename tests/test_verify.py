@@ -35,16 +35,17 @@ def test_each_graph_is_built_and_diagonalised_once(monkeypatch):
 
 def test_each_start_state_is_projected_once_per_graph(monkeypatch):
     starts = []
-    original = oracle._start_state
+    original = oracle._lanczos
 
-    def counted(walk, start):
+    def counted(neighbours, start, dimension, tol):
         starts.append(start)
-        return original(walk, start)
+        return original(neighbours, start, dimension, tol)
 
-    monkeypatch.setattr(oracle, "_start_state", counted)
+    monkeypatch.setattr(oracle, "_lanczos", counted)
     verify.run_suite(4)
-    # one start state per generator class; the classical walk reads the same
-    # Krylov decomposition, so no classical time builds a start of its own
+    # one start state and one Lanczos run per generator class; the classical
+    # walk reads the same Krylov decomposition, so no classical time builds
+    # a start of its own
     assert len(starts) == 4
 
 
