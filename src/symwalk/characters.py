@@ -15,10 +15,10 @@ test suite.  Everything here is big-integer exact; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
+from typing import NamedTuple
 
 from .caps import CHARACTER_TABLE_CAP, check_cap
 from .errors import ConsistencyError, DomainError, SizeMismatchError
@@ -125,8 +125,7 @@ def character_hook_pcycle(k: int, p: int, n: int) -> int:
     return binom(n - p - 1, k - p - 1) + sign * binom(n - p - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Complete character table of S_n in canonical partition order,
     column-major: ``columns[j][i]`` is chi_nu(lam) for lam = classes[j]
     and nu = classes[i], since irreps and classes share one list.

@@ -20,22 +20,17 @@ and, independent of the grouping engine, cross-checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import ConsistencyError, DomainError, SupportMismatchError
 from .partitions import Partition, class_size, is_even_class
-from .walk_spectrum import (
-    ClassDistribution,
-    WalkSpectrum,
-)
+from .walk_spectrum import ClassDistribution, WalkSpectrum
 
 
-@dataclass(frozen=True)
-class EigenGroups:
+class EigenGroups(NamedTuple):
     """Partition of the irreps of S_n by exact eigenvalue equality."""
 
     groups: tuple[tuple[Partition, ...], ...]

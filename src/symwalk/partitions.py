@@ -12,7 +12,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
@@ -21,24 +20,43 @@ from .caps import PARTITION_CAP, check_cap
 from .errors import InvalidPartitionError, InvalidPermutationError
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Frozen:
+    """A value set once in ``__init__``: later assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers summing to n.
 
     Immutable and hashable; two partitions are equal iff their part
     tuples are identical.  The empty partition (n = 0) is allowed.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(parts)
         for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
                 raise InvalidPartitionError(f"parts must be positive integers, got {parts}")
             if i and parts[i - 1] < p:
                 raise InvalidPartitionError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))  # as a dataclass hashes it: set orders depend on it
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def n(self) -> int:

@@ -30,37 +30,33 @@ last bits of a float output depend on the interpreter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import factorial
 from operator import add, mul
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .characters import character_column, character_table, dimension
 from .errors import ConsistencyError, DegenerateGeneratorError, DomainError
-from .partitions import Partition, class_size, enumerate_partitions, identity_partition
+from .partitions import Frozen, Partition, class_size, enumerate_partitions, identity_partition
 
 
-@dataclass(frozen=True, eq=False)
-class ClassFunction:
+class ClassFunction(Frozen):
     """Rational weights on the conjugacy classes of S_n, finitely supported.
 
     The common case is the indicator of a single generator class; general
     weighted mixtures are accepted everywhere the math allows them.
-    Zero weights are dropped.
+    Zero weights are dropped.  Equal only to itself, like any object.
     """
 
-    n: int
-    weights: dict[Partition, Fraction]
-
-    def __post_init__(self):
-        for lam in self.weights:
-            if lam.n != self.n:
-                raise DomainError(f"{lam} is not a partition of {self.n}")
-        weights = {lam: Fraction(w) for lam, w in self.weights.items()}
-        object.__setattr__(self, "weights", {lam: w for lam, w in weights.items() if w})
+    def __init__(self, n: int, weights: dict[Partition, Fraction]):
+        for lam in weights:
+            if lam.n != n:
+                raise DomainError(f"{lam} is not a partition of {n}")
+        weights = {lam: Fraction(w) for lam, w in weights.items()}
+        vars(self).update(n=n, weights={lam: w for lam, w in weights.items() if w})
 
     @classmethod
     def indicator(cls, gamma: Partition) -> "ClassFunction":
@@ -88,8 +84,7 @@ def eigenvalue_float(value: Fraction) -> float:
         raise DomainError("eigenvalue too large for a float; only exact output is available") from None
 
 
-@dataclass(frozen=True)
-class EigenRecord:
+class EigenRecord(NamedTuple):
     rep: Partition
     eigenvalue: Fraction
     dim: int
@@ -141,14 +136,12 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
     return WalkSpectrum(n, f, records)
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
+class ClassDistribution(Frozen):
     """Probability per conjugacy class: floats after walking for time t,
     or exact rationals of the limiting distribution (t None)."""
 
-    n: int
-    probs: dict[Partition, float | Fraction]
-    t: float | None = None
+    def __init__(self, n: int, probs: dict[Partition, float | Fraction], t: float | None = None):
+        vars(self).update(n=n, probs=probs, t=t)
 
     @cached_property
     def per_element(self) -> dict[Partition, float | Fraction]:

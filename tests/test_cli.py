@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -355,10 +356,35 @@ def test_exact_commands_do_not_load_numpy():
         f"for argv in {NUMPY_FREE_ARGVS!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_symwalk_loads_no_engine_until_a_name_is_used():
+    script = (
+        "import sys, symwalk\n"
+        "assert not [m for m in sys.modules if m.startswith('symwalk.')], sorted(sys.modules)\n"
+        "assert set(symwalk.__all__) <= set(dir(symwalk))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(set(symwalk.__all__)) == len(symwalk.__all__) == 35
+    for name in symwalk.__all__:  # each the same object as in its home submodule
+        value = getattr(symwalk, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"symwalk.{name}"]
+        else:
+            assert value.__module__.startswith("symwalk."), name
+            assert value is getattr(sys.modules[value.__module__], name), name
+    namespace = {}
+    exec("from symwalk import *", namespace)
+    assert all(namespace[name] is getattr(symwalk, name) for name in symwalk.__all__)
+    with pytest.raises(AttributeError):
+        symwalk.no_such_name
 
 
 def test_float_commands_without_numpy_exit_3_with_one_json_line(capsys):

@@ -178,7 +178,11 @@ def test_tv_uniform_is_zero():
     n = 4
     probs = {lam: Fraction(class_size(lam), factorial(n)) for lam in enumerate_partitions(n)}
     dist = ClassDistribution(n=n, probs=probs)
+    assert dist.t is None and dist.per_element is dist.per_element
     assert set(dist.per_element.values()) == {Fraction(1, factorial(n))}
+    for field in ("n", "probs", "t", "per_element"):
+        with pytest.raises(AttributeError):
+            setattr(dist, field, None)
     assert tv_distance(dist, "symmetric_group") == 0
 
 

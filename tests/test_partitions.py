@@ -76,6 +76,8 @@ def test_partition_is_an_immutable_value(lam):
     copy = Partition(list(lam.parts))
     assert copy.parts == lam.parts and isinstance(copy.parts, tuple)
     assert copy == lam and hash(copy) == hash(lam)
+    assert hash(lam) == hash((lam.parts,))  # so set iteration orders cannot drift
+    assert repr(lam) == f"Partition(parts={lam.parts!r})"
     assert lam != lam.parts
     assert Partition.parse(str(lam)) == lam
     with pytest.raises(AttributeError):
