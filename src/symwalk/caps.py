@@ -15,6 +15,7 @@ ENV_VAR = "SYMWALK_MAX_N"
 PARTITION_CAP = 30
 CHARACTER_TABLE_CAP = 14
 ORACLE_CAP = 6
+ORACLE_WHAT = "dense Cayley graph"  # the oracle refusal's noun, kept byte-identical
 # Largest n whose n-cycle table prints; checked before rows that cost (n!)^2.
 TABLE_CAP = 859
 

@@ -23,7 +23,8 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .caps import CHARACTER_TABLE_CAP, TABLE_CAP, check_cap, check_time_points
+from .caps import (CHARACTER_TABLE_CAP, ORACLE_CAP, ORACLE_WHAT, TABLE_CAP, check_cap,
+                   check_time_points)
 from .characters import character_table
 from .errors import DegenerateGeneratorError, ResourceLimitError, SupportMismatchError, SymwalkError
 from .limiting import (
@@ -234,7 +235,7 @@ def _class_function(cfg: argparse.Namespace) -> ClassFunction:
         weights[lam] = weights.get(lam, Fraction(0)) + w
     f = ClassFunction(cfg.n, weights)  # keeps only the nonzero weights
     if all(len(lam.parts) == cfg.n for lam in f.weights):  # all fixed points: H is c*I
-        raise DegenerateGeneratorError("the identity class does not generate a walk")
+        raise DegenerateGeneratorError
     return f
 
 
@@ -426,6 +427,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
+    check_cap(cfg.n, ORACLE_CAP, ORACLE_WHAT)  # before numpy loads
     from .verify import run_suite  # loads numpy, which only the oracle needs
 
     results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
@@ -444,10 +446,10 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(cfg: argparse.Namespace) -> int:
-    from . import oracle as oracle_mod  # loads numpy, as in _cmd_verify
-
     if len(cfg.generators) != 1:
         raise UsageError("oracle needs exactly one --generator")
+    check_cap(cfg.n, ORACLE_CAP, ORACLE_WHAT)  # before numpy loads
+    from . import oracle as oracle_mod  # loads numpy, as in _cmd_verify
     gamma = cfg.generators[0][0]
     walk = oracle_mod.build_cayley(cfg.n, gamma)
     cfg.start = cfg.start or identity_partition(cfg.n)  # as in _walk_spectrum

@@ -28,7 +28,8 @@ class SizeMismatchError(DomainError):
 
 
 class DegenerateGeneratorError(DomainError):
-    """The identity class cannot generate a walk."""
+    def __init__(self, message="a walk needs a nonzero generator weight off the identity class"):
+        super().__init__(message)
 
 
 class SupportMismatchError(DomainError):

@@ -7,8 +7,9 @@ vertex-transitive, so a walk from one permutation g is the walk from
 the identity relabelled by g.  The graph is an n! x d neighbour index,
 d the class size: row g lists the ranks of s o g for s in the class, so
 A psi is one gather and a row sum.  A code of its first n - 1 entries
-ranks s o g through a table that each build makes and frees, and the
-code is linear in s, so one integer product codes a block of rows.
+ranks s o g through a table that each build makes and frees with its
+digit weights, and the code is linear in s, so one integer product
+codes a block of rows; only the vertices are kept per n.
 
 A class-uniform start never leaves its Krylov subspace, which lies in
 the class functions and so has at most p(n) dimensions.  One Lanczos
@@ -36,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .caps import ORACLE_CAP, check_cap
+from .caps import ORACLE_CAP, ORACLE_WHAT, check_cap
 from .errors import DegenerateGeneratorError, DomainError
 from .partitions import Partition, class_size, cycle_type, enumerate_partitions, identity_partition
 
@@ -55,24 +56,14 @@ BLOCK_ENTRIES = 1 << 15
 Krylov = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class VertexSet:
+@cache
+def _vertex_set(n: int) -> tuple[np.ndarray, tuple[Partition, ...], np.ndarray]:
     """What every Cayley graph of S_n shares, built once per n.
 
     ``vertices`` holds the permutations as the rows of one n! x n int8
-    array, in lex order.  ``class_index[g]`` is the position in ``classes``
-    of vertex g's cycle type, and ``weights[g]`` holds the digit weights
-    that make ``(s - 1) @ weights[g]`` the code of s o g.
+    array, in lex order, and ``class_index[g]`` is the position in
+    ``classes`` of vertex g's cycle type.
     """
-
-    vertices: np.ndarray
-    classes: tuple[Partition, ...]
-    class_index: np.ndarray
-    weights: np.ndarray
-
-
-@cache
-def _vertex_set(n: int) -> VertexSet:
     symbols = range(1, n + 1)
     entries = itertools.chain.from_iterable(itertools.permutations(symbols))
     vertices = np.fromiter(entries, dtype=np.int8).reshape(-1, n)
@@ -80,14 +71,9 @@ def _vertex_set(n: int) -> VertexSet:
     position = {lam: k for k, lam in enumerate(classes)}
     class_index = np.fromiter((position[cycle_type(v)] for v in itertools.permutations(symbols)),
                               dtype=np.intp, count=len(vertices))
-    # The first n - 1 entries, less 1, read as base-n digits fix a
-    # permutation, so its code indexes a table of ranks.  The code of s o g
-    # puts s[j] at digit g^{-1}(j), which argsort reads off g.
-    digits = np.append(n ** np.arange(n - 2, -1, -1), 0)
-    weights = digits[np.argsort(vertices, axis=1)]
-    for array in (vertices, class_index, weights):
+    for array in (vertices, class_index):
         array.flags.writeable = False
-    return VertexSet(vertices, classes, class_index, weights)
+    return vertices, classes, class_index
 
 
 @dataclass
@@ -143,23 +129,29 @@ def build_cayley(n: int, gamma: Partition) -> CayleyWalk:
     """Construct the Cayley graph of S_n with generator class C_gamma.
 
     Default cap is n <= 6 (720 vertices); SYMWALK_MAX_N lifts it.  The
-    neighbour index takes n! x |C_gamma| int32s, and the build's rank table
-    n^(n-1) more, freed with the build: 172 MB at n = 9.
+    neighbour index takes n! x |C_gamma| int32s.  The build's rank table
+    takes n^(n-1) int32s and its digit weights n! x n int64s, both freed
+    with the build: 172 MB and 26 MB at n = 9, 8.4 MB and 2.6 MB at n = 8.
     """
-    check_cap(n, ORACLE_CAP, "dense Cayley graph")  # refusal text kept byte-identical
+    check_cap(n, ORACLE_CAP, ORACLE_WHAT)
     if gamma.n != n:
         raise DomainError(f"generator {gamma} is not a partition of {n}")
     if gamma == identity_partition(n):
-        raise DegenerateGeneratorError("the identity class does not generate a walk")
-    vs = _vertex_set(n)
+        raise DegenerateGeneratorError
+    vertices, classes, class_index = _vertex_set(n)
+    # The first n - 1 entries, less 1, read as base-n digits fix a
+    # permutation, so its code indexes a table of ranks.  The code of s o g
+    # puts s[j] at digit g^{-1}(j), which argsort reads off g.
+    digits = np.append(n ** np.arange(n - 2, -1, -1), 0)
+    weights = digits[np.argsort(vertices, axis=1)]
     # rank[code] is the lex position of the code's permutation g, coded as id o g.
     rank = np.zeros(n ** (n - 1), dtype=np.int32)
-    rank[vs.weights @ np.arange(n)] = np.arange(len(vs.vertices))
-    members = vs.vertices[vs.class_index == vs.classes.index(gamma)] - 1
-    neighbours = np.empty((len(vs.vertices), len(members)), dtype=np.int32)
+    rank[weights @ np.arange(n)] = np.arange(len(vertices))
+    members = vertices[class_index == classes.index(gamma)] - 1
+    neighbours = np.empty((len(vertices), len(members)), dtype=np.int32)
     for rows in _row_blocks(*neighbours.shape):
-        neighbours[rows] = np.take(rank, vs.weights[rows] @ members.T)
-    return CayleyWalk(n, gamma, vs.vertices, vs.classes, vs.class_index, neighbours)
+        neighbours[rows] = np.take(rank, weights[rows] @ members.T)
+    return CayleyWalk(n, gamma, vertices, classes, class_index, neighbours)
 
 
 def _times_adjacency(neighbours: np.ndarray, vec: np.ndarray) -> np.ndarray:

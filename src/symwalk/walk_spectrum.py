@@ -62,7 +62,7 @@ class ClassFunction(Frozen):
     def indicator(cls, gamma: Partition) -> "ClassFunction":
         """Indicator of one generator class; the identity class is refused."""
         if gamma == identity_partition(gamma.n):
-            raise DegenerateGeneratorError("the identity class does not generate a walk")
+            raise DegenerateGeneratorError
         return cls(gamma.n, {gamma: Fraction(1)})
 
     def is_indicator(self) -> bool:

@@ -268,7 +268,9 @@ def test_non_finite_times_are_refused(capsys, argv):
      "--weight", "0"),
 ])
 def test_generators_that_cannot_move_the_walk_are_refused(capsys, argv):
-    _assert_json_error(*run_cli(capsys, *argv), 1)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_json_error(code, out, err, 1)
+    assert json.loads(err)["error"] == "a walk needs a nonzero generator weight off the identity class"
 
 
 def test_identity_beside_a_moving_generator_is_a_walk(capsys):
@@ -403,6 +405,13 @@ def test_float_commands_without_numpy_exit_3_with_one_json_line(capsys):
         proc = run(*argv)
         _assert_json_error(proc.returncode, proc.stdout, proc.stderr, 3)
         assert json.loads(proc.stderr)["error"] == f"{argv[0]} needs numpy, which is not installed"
+    # Above the oracle cap both commands refuse before they need numpy.
+    for argv in (["verify", "--n", "7"], ["verify", "--n", "31"],
+                 ["oracle", "--n", "7", "--generator", "7", "--t", "0.7"]):
+        proc = run(*argv)
+        _assert_json_error(proc.returncode, proc.stdout, proc.stderr, 3)
+        want = f"dense Cayley graph for n={argv[2]} exceeds the cap of 6"
+        assert json.loads(proc.stderr)["error"] == want
     for argv in NUMPY_FREE_ARGVS:  # the same bytes as a run with numpy at hand
         proc = run(*argv)
         assert (proc.returncode, proc.stderr) == (0, ""), argv

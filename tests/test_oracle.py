@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -427,6 +428,25 @@ def test_the_vertex_set_is_built_once_per_n(monkeypatch):
     for gamma in generator_classes(5):
         build_cayley(5, gamma)
     assert len(calls) == factorial(5)
+
+
+def test_every_walk_holds_the_cached_vertex_set():
+    vertices, classes, class_index = oracle._vertex_set(5)
+    for gamma in generator_classes(5):
+        walk = build_cayley(5, gamma)
+        assert walk.vertices is vertices
+        assert walk.classes is classes
+        assert walk.class_index is class_index
+
+
+def test_neighbour_rows_keep_their_order():
+    # Each row's order sets the summation order of every A psi, and so the
+    # oracle's floats; the adjacency dumps sort each row, so they miss it.
+    digest = hashlib.sha256()
+    for n in range(3, 7):
+        for gamma in generator_classes(n):
+            digest.update(build_cayley(n, gamma).neighbours.tobytes())
+    assert digest.hexdigest() == "4467cec0bb89a50f1e1ae544eed699036f1870bbfbbb15a1c26e2d7dfabd66fc"
 
 
 @pytest.mark.parametrize("gamma", generator_classes(6), ids=str)
