@@ -58,25 +58,19 @@ def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
     return {key: value for key, value in out.items() if value}
 
 
-def _power_sum(lam: Partition) -> dict[int, int]:
-    """The Schur expansion of p_lam: chi_nu(lam) at nu's abacus.
-
-    The parts fold smallest first, the order ``character_table`` uses.
-    """
-    return reduce(_times_power_sum, reversed(lam.parts), {(1 << lam.n) - 1: 1})
-
-
 def character(nu: Partition, lam: Partition) -> int:
-    """chi_nu(lam): the character of the irrep nu on the class lam."""
+    """chi_nu(lam), the entry of ``character_column(lam)`` at nu, under its cap."""
     if nu.n != lam.n:
         raise SizeMismatchError(f"partitions of different n: {nu} vs {lam}")
-    return _power_sum(lam).get(_abacus(nu), 0)
+    return character_column(lam)[enumerate_partitions(nu.n).index(nu)]
 
 
 def character_column(lam: Partition) -> tuple[int, ...]:
-    """chi_nu(lam) for every irrep nu of S_n, in canonical order."""
+    """chi_nu(lam) for every irrep nu of S_n, in canonical order: the
+    Schur expansion of p_lam at each abacus, folding the parts smallest
+    first, the order ``character_table`` uses."""
     reps = enumerate_partitions(lam.n)  # checks the cap before the fold
-    expansion = _power_sum(lam)
+    expansion = reduce(_times_power_sum, reversed(lam.parts), {(1 << lam.n) - 1: 1})
     return tuple(expansion.get(_abacus(nu), 0) for nu in reps)
 
 

@@ -328,7 +328,7 @@ def _cmd_amplitude(cfg: argparse.Namespace) -> int:
         "target": list(cfg.target.parts),
         "t": cfg.t,
         "amplitude": {"re": amp.real, "im": amp.imag},
-        "probability": abs(amp) ** 2,
+        "probability": class_distribution(spec, cfg.start, cfg.t).probs[cfg.target],
     }
     _emit(cfg, _json(payload))
     return 0
@@ -431,8 +431,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     from .verify import run_suite  # loads numpy, which only the oracle needs
 
     results = run_suite(cfg.n, t_samples=cfg.t_samples, detailed=cfg.detailed)
-    # CheckResult's fields in declaration order, leaving out None and empty values.
-    checks = [{key: value for key, value in vars(res).items() if value not in (None, "", [])}
+    # CheckResult's fields in declaration order, leaving out the None ones.
+    checks = [{key: value for key, value in vars(res).items() if value is not None}
               for res in results]
     failed = sum(1 for r in results if not r.passed)
     payload = {

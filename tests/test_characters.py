@@ -175,6 +175,28 @@ def test_table_cap():
         character_table(15)
 
 
+def test_a_single_character_is_its_column_entry_under_the_column_cap(monkeypatch):
+    # The fold of one class grows with p(n), so a single character keeps
+    # the partition cap that its column checks, and refuses before folding.
+    calls = []
+    original = characters._times_power_sum
+
+    def counted(expansion, r):
+        calls.append(r)
+        return original(expansion, r)
+
+    monkeypatch.setattr(characters, "_times_power_sum", counted)
+    monkeypatch.delenv("SYMWALK_MAX_N", raising=False)
+    nu, lam = Partition((16, 15)), identity_partition(31)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^partition enumeration for n=31 exceeds the cap of 30$"):
+        character(nu, lam)
+    assert calls == []
+    monkeypatch.setenv("SYMWALK_MAX_N", "31")
+    column = character_column(lam)
+    assert character(nu, lam) == column[enumerate_partitions(31).index(nu)] == dimension(nu)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orthogonality(n):
     check_orthogonality(character_table(n))

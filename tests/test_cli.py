@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -11,8 +12,16 @@ from pathlib import Path
 import pytest
 
 import symwalk
-from symwalk.cli import main
-from symwalk.partitions import enumerate_partitions
+from symwalk.cli import main, run
+from symwalk.errors import DomainError, InvalidPartitionError, ResourceLimitError, SymwalkError
+from symwalk.limiting import limiting_class_distribution, tv_distance
+from symwalk.partitions import Partition, enumerate_partitions, hook, identity_partition
+from symwalk.walk_spectrum import (
+    ClassFunction,
+    class_amplitude,
+    ncycle_amplitude_closed_form,
+    spectrum,
+)
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +124,28 @@ def test_amplitude_t0(capsys):
     assert abs(payload["amplitude"]["re"] - 1) < 1e-12
     assert abs(payload["amplitude"]["im"]) < 1e-12
     assert abs(payload["probability"] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_amplitude_probability_is_the_distributions_float(capsys, n):
+    # One probability, one formula: amplitude prints, bit for bit, the
+    # float that distribution prints for the target, at one time and on
+    # a one-point grid.
+    for gamma in enumerate_partitions(n)[:-1]:
+        for start in (f"{n}", ",".join("1" * n)):
+            for t in ("0.3", "0.7", "1.9", "3.3"):
+                walk = ("--n", str(n), "--generator", str(gamma), "--start", start)
+                _, out, _ = run_cli(capsys, "distribution", *walk, "--t", t)
+                at_t = {tuple(row["partition"]): row["probability"]
+                        for row in json.loads(out)["classes"]}
+                _, out, _ = run_cli(capsys, "distribution", *walk, "--t-grid", f"{t},{t},1")
+                on_grid = {tuple(map(int, lam.split(","))): float(p)
+                           for _, lam, p in csv.reader(out.splitlines()[1:])}
+                for target in enumerate_partitions(n):
+                    _, out, _ = run_cli(capsys, "amplitude", *walk, "--target", str(target),
+                                        "--t", t)
+                    probability = json.loads(out)["probability"]
+                    assert probability == at_t[target.parts] == on_grid[target.parts]
 
 
 def test_table_records(capsys):
@@ -571,6 +602,37 @@ def test_caps_refuse_before_work_that_grows_with_n(capsys, argv):
         tracemalloc.stop()
     _assert_json_error(*result, 3)
     assert peak < 5_000_000
+
+
+def _transposition_walk(n):
+    return spectrum(n, ClassFunction.indicator(hook(n, 2)))
+
+
+@pytest.mark.parametrize("env, call, error, message", [
+    ("abc", lambda: run(["limit", "--n", "4", "--generator", "2,1,1"]),
+     ResourceLimitError, "SYMWALK_MAX_N must be an integer, got 'abc'"),
+    (None, lambda: tv_distance(limiting_class_distribution(_transposition_walk(4),
+                                                           identity_partition(4)), "cyclic"),
+     DomainError, "unknown support 'cyclic'"),
+    (None, lambda: spectrum(5, ClassFunction.indicator(hook(4, 2))),
+     DomainError, "class function is on n=4, not 5"),
+    (None, lambda: class_amplitude(_transposition_walk(4), Partition((3,)), identity_partition(4),
+                                   0.7),
+     DomainError, "start and target classes must partition the walk's n"),
+    (None, lambda: ncycle_amplitude_closed_form(1, 0.7), DomainError, "closed form needs n >= 2"),
+    (None, lambda: hook(3, 4), InvalidPartitionError, "hook needs 1 <= k <= n, got k=4, n=3"),
+    (None, lambda: enumerate_partitions(-1), InvalidPartitionError, "n must be nonnegative"),
+])
+def test_library_refusals_raise_their_error(monkeypatch, env, call, error, message):
+    # Each refusal raises its own error class with its own message; the
+    # CLI exits with the class's code (3 for a cap, 1 for a domain error).
+    if env is None:
+        monkeypatch.delenv("SYMWALK_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("SYMWALK_MAX_N", env)
+    with pytest.raises(SymwalkError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_the_benchmark_tracer_finds_every_span_point():

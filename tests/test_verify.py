@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from symwalk import oracle, verify
 from symwalk.errors import DomainError
 from symwalk.oracle import ClassAggregate
+from symwalk.partitions import Partition
 
 ORACLE_CHECKS = ("quantum_vs_oracle", "classical_vs_oracle", "limiting_vs_oracle")
 
@@ -124,3 +126,51 @@ def test_a_suite_without_any_spectrum_still_reports_every_check(monkeypatch):
     assert len(results) == 11
     assert {r.name for r in results if not r.passed} == {
         *ORACLE_CHECKS, "eigenvalue_integrality", "sine_closed_form", "limiting_table"}
+
+
+def _offset_at(target, offset):
+    """Wrap a reference so that only calls whose leading arguments are
+    ``target`` are offset."""
+    def wrap(original):
+        return lambda *args: original(*args) + (offset if args[:len(target)] == target else 0)
+    return wrap
+
+
+def _flip_one_entry(original):
+    def flipped(n):
+        table = original(n)
+        first, *rest = table.columns
+        return table._replace(columns=((-first[0], *first[1:]), *rest))
+    return flipped
+
+
+def _offset_ncycle_column(original):
+    def offset(lam):
+        column = original(lam)
+        return (column[0] + 1, *column[1:]) if lam == Partition((5,)) else column
+    return offset
+
+
+def _offset_one_row(original):
+    def offset(n, p):
+        row, value = original(n, p)
+        return row, value + (Fraction(1, 10**9) if p == 3 else 0)
+    return offset
+
+
+@pytest.mark.parametrize("target, name, wrap", [
+    ("transposition_closed_form", "character_transposition",
+     _offset_at((Partition((3, 2)),), 1)),
+    ("hook_ncycle_characters", "character_column", _offset_ncycle_column),
+    ("hook_pcycle_characters", "character_hook_pcycle", _offset_at((2, 3, 5), 1)),
+    ("orthogonality", "character_table", _flip_one_entry),
+    ("dimension_agreement", "dimension", _offset_at((Partition((3, 2)),), 1)),
+    ("sine_closed_form", "ncycle_amplitude_closed_form", _offset_at((5,), 1e-6)),
+    ("limiting_table", "table_ncycle_case", _offset_one_row),
+])
+def test_exact_checks_fail_on_a_perturbed_reference(monkeypatch, target, name, wrap):
+    # Each check compares two paths; a wrong value in the one reference it
+    # reads, and only there, must fail exactly that check.
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    results = verify.run_suite(5)
+    assert [r.name for r in results if not r.passed] == [target]
