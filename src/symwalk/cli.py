@@ -49,7 +49,7 @@ DECIMAL_DIGITS = 20  # significant digits of the ``decimal`` field of ``table`` 
 
 
 class UsageError(SymwalkError):
-    exit_code = 1
+    """A command line the CLI cannot run."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,7 +245,7 @@ def _walk_spectrum(cfg: argparse.Namespace) -> WalkSpectrum:
     f = _class_function(cfg)
     check_cap(cfg.n, CHARACTER_TABLE_CAP, "character table")
     cfg.start = cfg.start or identity_partition(cfg.n)  # n parts, so only once n is capped
-    return spectrum(cfg.n, f)
+    return spectrum(f)
 
 
 def _generator_json(cfg: argparse.Namespace):
@@ -294,7 +294,7 @@ def _cmd_characters(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(cfg: argparse.Namespace) -> int:
-    spec = spectrum(cfg.n, _class_function(cfg))
+    spec = spectrum(_class_function(cfg))
     if cfg.format == "csv":
         lines = ["rep,dim,eigenvalue"]
         for rec in spec.records:
@@ -338,7 +338,7 @@ def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
     return {
         "n": cfg.n,
         "generator": _generator_json(cfg),
-        "t": dist.t,
+        "t": cfg.t,
         "start": list(cfg.start.parts),
         "classes": [
             _class_row(lam, probability=dist.probs[lam], per_element=dist.per_element[lam])

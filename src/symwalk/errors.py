@@ -12,20 +12,6 @@ class SymwalkError(Exception):
 class DomainError(SymwalkError):
     """Input outside an operation's mathematical domain."""
 
-    exit_code = 1
-
-
-class InvalidPartitionError(DomainError):
-    pass
-
-
-class InvalidPermutationError(DomainError):
-    pass
-
-
-class SizeMismatchError(DomainError):
-    """Two partitions that must partition the same n do not."""
-
 
 class DegenerateGeneratorError(DomainError):
     def __init__(self, message="a walk needs a nonzero generator weight off the identity class"):

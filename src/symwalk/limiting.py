@@ -135,4 +135,4 @@ def time_averaged_distribution(
     acc = [0.0] * len(spec.classes)
     for j in range(samples):
         acc = list(map(add, acc, kernel.quantum_probabilities((j + 0.5) * horizon / samples)))
-    return ClassDistribution.of(spec, horizon, [a / samples for a in acc])
+    return ClassDistribution.of(spec, [a / samples for a in acc])

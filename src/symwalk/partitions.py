@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .caps import PARTITION_CAP, check_cap
-from .errors import InvalidPartitionError, InvalidPermutationError
+from .errors import DomainError
 
 
 class Frozen:
@@ -44,9 +44,9 @@ class Partition(Frozen):
         parts = tuple(parts)
         for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
-                raise InvalidPartitionError(f"parts must be positive integers, got {parts}")
+                raise DomainError(f"parts must be positive integers, got {parts}")
             if i and parts[i - 1] < p:
-                raise InvalidPartitionError(f"parts must be weakly decreasing, got {parts}")
+                raise DomainError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     def __eq__(self, other):
@@ -78,7 +78,7 @@ class Partition(Frozen):
         try:
             parts = tuple(int(tok) for tok in text.split(","))
         except ValueError:
-            raise InvalidPartitionError(f"cannot parse partition from {text!r}") from None
+            raise DomainError(f"cannot parse partition from {text!r}") from None
         return cls(parts)
 
 
@@ -90,7 +90,7 @@ def identity_partition(n: int) -> Partition:
 def hook(n: int, k: int) -> Partition:
     """The hook (k, 1, ..., 1) of n.  hook(n, p) is also the p-cycle class."""
     if not 1 <= k <= n:
-        raise InvalidPartitionError(f"hook needs 1 <= k <= n, got k={k}, n={n}")
+        raise DomainError(f"hook needs 1 <= k <= n, got k={k}, n={n}")
     return Partition((k,) + (1,) * (n - k))
 
 
@@ -101,7 +101,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     resource guard.
     """
     if n < 0:
-        raise InvalidPartitionError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     check_cap(n, PARTITION_CAP, "partition enumeration")
     return [Partition(parts) for parts in _partition_tuples(n)]
 
@@ -163,7 +163,7 @@ def cycle_type(perm: Sequence[int]) -> Partition:
     seen = [False] * (n + 1)
     for v in perm:
         if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
-            raise InvalidPermutationError(f"{perm!r} is not a permutation of 1..{n}")
+            raise DomainError(f"{perm!r} is not a permutation of 1..{n}")
         seen[v] = True
     visited = [False] * n
     lengths = []

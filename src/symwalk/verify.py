@@ -203,12 +203,14 @@ def run_suite(n: int, t_samples: int = 16, detailed: bool = False) -> list[Check
     """
     if n < 2:
         raise DomainError(f"verify needs n >= 2, got {n}")
+    if t_samples < 1:  # no times would pass the quantum check having compared nothing
+        raise DomainError(f"verify needs at least one time sample, got {t_samples}")
     times = [2 * math.pi * j / t_samples for j in range(t_samples)]
     rows = [] if detailed else None
     quantum, classical, limiting, spectra = [], [], [], {}
     for gamma in generator_classes(n):
         try:
-            spec = spectra[gamma] = spectrum(n, ClassFunction.indicator(gamma))
+            spec = spectra[gamma] = spectrum(ClassFunction.indicator(gamma))
         except ConsistencyError as exc:
             spectra[gamma] = exc
             continue

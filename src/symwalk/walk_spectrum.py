@@ -93,8 +93,8 @@ class EigenRecord(NamedTuple):
 class WalkSpectrum:
     """The diagonalized walk operator: one exact eigenvalue per irrep."""
 
-    def __init__(self, n: int, f: ClassFunction, records: list[EigenRecord]):
-        self.n = n
+    def __init__(self, f: ClassFunction, records: list[EigenRecord]):
+        self.n = f.n
         self.f = f
         self.records = records
         self.classes = tuple(rec.rep for rec in records)  # canonical order
@@ -111,7 +111,7 @@ class WalkSpectrum:
         return self._kernels[mu]
 
 
-def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
+def spectrum(f: ClassFunction) -> WalkSpectrum:
     """Diagonalize the walk operator for generator weighting f.
 
     Reads only the generator columns, one per class of f, so it runs
@@ -119,9 +119,7 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
     must come out an exact integer; a non-integer here means the
     character engine is broken, so it raises rather than rounding.
     """
-    if f.n != n:
-        raise DomainError(f"class function is on n={f.n}, not {n}")
-    reps = enumerate_partitions(n)  # checks the cap before the columns' n-sized work
+    reps = enumerate_partitions(f.n)  # checks the cap before the columns' n-sized work
     columns = [(class_size(gamma) * w, character_column(gamma)) for gamma, w in f.weights.items()]
     integral = f.is_indicator()
     records = []
@@ -133,15 +131,15 @@ def spectrum(n: int, f: ClassFunction) -> WalkSpectrum:
                 f"eigenvalue for rep {nu} is {ev}, expected an integer"
             )
         records.append(EigenRecord(rep=nu, eigenvalue=ev, dim=dim))
-    return WalkSpectrum(n, f, records)
+    return WalkSpectrum(f, records)
 
 
 class ClassDistribution(Frozen):
-    """Probability per conjugacy class: floats after walking for time t,
-    or exact rationals of the limiting distribution (t None)."""
+    """Probability per conjugacy class: floats after walking for some
+    time, or exact rationals of the limiting distribution."""
 
-    def __init__(self, n: int, probs: dict[Partition, float | Fraction], t: float | None = None):
-        vars(self).update(n=n, probs=probs, t=t)
+    def __init__(self, n: int, probs: dict[Partition, float | Fraction]):
+        vars(self).update(n=n, probs=probs)
 
     @cached_property
     def per_element(self) -> dict[Partition, float | Fraction]:
@@ -149,9 +147,9 @@ class ClassDistribution(Frozen):
         return {lam: p / class_size(lam) for lam, p in self.probs.items()}
 
     @classmethod
-    def of(cls, spec: WalkSpectrum, t: float, probs: list[float]) -> "ClassDistribution":
+    def of(cls, spec: WalkSpectrum, probs: list[float]) -> "ClassDistribution":
         """Wrap a list of class probabilities in canonical class order."""
-        return cls(n=spec.n, probs=dict(zip(spec.classes, probs)), t=t)
+        return cls(n=spec.n, probs=dict(zip(spec.classes, probs)))
 
 
 def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
@@ -302,7 +300,7 @@ def class_amplitude(spec: WalkSpectrum, lam: Partition, mu: Partition, t: float)
 
 def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
     """Measurement distribution over classes at time t, started from c_mu."""
-    return ClassDistribution.of(spec, t, spec.kernel(mu).quantum_probabilities(t))
+    return ClassDistribution.of(spec, spec.kernel(mu).quantum_probabilities(t))
 
 
 def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
@@ -310,7 +308,7 @@ def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) ->
 
     Started from the uniform distribution on C_mu.
     """
-    return ClassDistribution.of(spec, t, spec.kernel(mu).classical_probabilities(t))
+    return ClassDistribution.of(spec, spec.kernel(mu).classical_probabilities(t))
 
 
 def ncycle_amplitude_closed_form(n: int, t: float) -> complex:

@@ -62,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
         ident = identity_partition(n)
         for gamma in generator_classes(n):
             walk = build_cayley(n, gamma)
-            spec = spectrum(n, ClassFunction.indicator(gamma))
+            spec = spectrum(ClassFunction.indicator(gamma))
             for t in times:
                 dense = class_aggregate(walk, evolve_quantum(walk, ident, t))
                 dist = class_distribution(spec, ident, t)
@@ -80,7 +80,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_sine_closed_form():
     worst = 0.0
     for n in range(2, 10):
-        spec = spectrum(n, transpositions(n))
+        spec = spectrum(transpositions(n))
         ident = identity_partition(n)
         ncycle = Partition((n,))
         for j in range(64):
@@ -91,7 +91,7 @@ def test_criterion_2_sine_closed_form():
             )
             worst = max(worst, gap)
     exact_peak = max_ncycle_probability(3) == Fraction(8, 9)
-    spec3 = spectrum(3, transpositions(3))
+    spec3 = spectrum(transpositions(3))
     peak = class_distribution(spec3, identity_partition(3), math.pi / 3)
     numeric_peak = abs(peak.probs[Partition((3,))] - 8 / 9) <= 1e-12
     report(
@@ -128,7 +128,7 @@ def test_criterion_4_eigenvalue_integrality():
     checked = 0
     for n in range(2, 11):
         for gamma in generator_classes(n):
-            spec = spectrum(n, ClassFunction.indicator(gamma))
+            spec = spectrum(ClassFunction.indicator(gamma))
             for rec in spec.records:
                 assert rec.eigenvalue.denominator == 1, (n, gamma, rec.rep)
                 checked += 1
@@ -141,7 +141,7 @@ def test_criterion_5_table_certification():
         ident = identity_partition(n)
         ncycle = Partition((n,))
         for p in range(2, n + 1):
-            spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+            spec = spectrum(ClassFunction.indicator(hook(n, p)))
             engine = limiting_class_distribution(spec, ident).per_element[ncycle]
             table = table_ncycle_case(n, p)[1]
             assert table == engine, f"n={n}, p={p}: table {table} != engine {engine}"
@@ -157,7 +157,7 @@ def test_criterion_6_transposition_limiting_value():
             cases.append((n, n))
     for n, p in cases:
         ident = identity_partition(n)
-        spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+        spec = spectrum(ClassFunction.indicator(hook(n, p)))
         got = limiting_class_distribution(spec, ident).per_element[Partition((n,))]
         want = Fraction(comb(2 * n - 2, n - 1), factorial(n) ** 2)
         assert got == want, (n, p)
@@ -179,14 +179,14 @@ def test_criterion_7_character_identities():
             for k in range(1, n + 1):
                 assert character_hook_pcycle(k, p, n) == character(hook(n, k), pclass)
         check_orthogonality(character_table(n))
-    report(7, True, "closed forms match recursion and both orthogonality relations, n <= 10")
+    report(7, True, "closed forms match recursion and column orthogonality holds, n <= 10")
 
 
 def test_criterion_8_tv_bounds():
     details = []
     for n in range(2, 10):
         ident = identity_partition(n)
-        spec = spectrum(n, transpositions(n))
+        spec = spectrum(transpositions(n))
         tv = tv_distance(limiting_class_distribution(spec, ident), "symmetric_group")
         bound = Fraction(1, n) - Fraction(comb(2 * n - 2, n - 1), n * factorial(n))
         assert tv >= bound, (n, tv, bound)
@@ -194,7 +194,7 @@ def test_criterion_8_tv_bounds():
     for n in (3, 5, 7, 9):
         ident = identity_partition(n)
         for p in range(3, n + 1, 2):
-            spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+            spec = spectrum(ClassFunction.indicator(hook(n, p)))
             tv = tv_distance(limiting_class_distribution(spec, ident), "alternating_group")
             bound = (
                 Fraction(2, n)
@@ -211,7 +211,7 @@ def test_criterion_8_tv_bounds():
 
 def test_criterion_9_classical_sanity():
     ident = identity_partition(4)
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     dist = classical_class_distribution(spec, ident, 50.0)
     uniform_gap = max(abs(per - 1 / 24) for per in dist.per_element.values())
     walk = build_cayley(4, Partition((2, 1, 1)))
@@ -234,7 +234,7 @@ def test_criterion_10_tv_reported_not_matched():
     lines = []
     for n in range(2, 10):
         ident = identity_partition(n)
-        spec = spectrum(n, transpositions(n))
+        spec = spectrum(transpositions(n))
         tv = tv_distance(limiting_class_distribution(spec, ident), "symmetric_group")
         bound = Fraction(1, n) - Fraction(comb(2 * n - 2, n - 1), n * factorial(n))
         assert tv >= bound

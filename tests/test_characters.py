@@ -16,7 +16,7 @@ from symwalk.characters import (
     dimension,
 )
 from symwalk.cli import main
-from symwalk.errors import DomainError, ResourceLimitError, SizeMismatchError
+from symwalk.errors import DomainError, ResourceLimitError
 from symwalk.partitions import (
     Partition,
     class_size,
@@ -166,7 +166,7 @@ def test_n1_table():
 
 
 def test_size_mismatch():
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^partitions of different n: 2,1 vs 2,2$"):
         character(Partition((2, 1)), Partition((2, 2)))
 
 
@@ -209,6 +209,19 @@ def test_column_orthogonality_fact(n):
     for lam in table.classes:
         col = table.column(lam)
         assert class_size(lam) * sum(v * v for v in col) == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_orthogonality_fact(n):
+    # sum_lam |C_lam| chi_nu(lam) chi_eta(lam) = n! [nu = eta]; check_orthogonality
+    # checks only the columns, from which this follows for a square table.
+    table = character_table(n)
+    sizes = [class_size(lam) for lam in table.classes]
+    rows = list(zip(*table.columns))
+    for a, row_a in enumerate(rows):
+        for b, row_b in enumerate(rows):
+            dot = sum(s * x * y for s, x, y in zip(sizes, row_a, row_b))
+            assert dot == (factorial(n) if a == b else 0), (n, a, b)
 
 
 def test_dimension_examples():

@@ -13,7 +13,7 @@ import pytest
 
 import symwalk
 from symwalk.cli import main, run
-from symwalk.errors import DomainError, InvalidPartitionError, ResourceLimitError, SymwalkError
+from symwalk.errors import DomainError, ResourceLimitError, SymwalkError
 from symwalk.limiting import limiting_class_distribution, tv_distance
 from symwalk.partitions import Partition, enumerate_partitions, hook, identity_partition
 from symwalk.walk_spectrum import (
@@ -605,7 +605,7 @@ def test_caps_refuse_before_work_that_grows_with_n(capsys, argv):
 
 
 def _transposition_walk(n):
-    return spectrum(n, ClassFunction.indicator(hook(n, 2)))
+    return spectrum(ClassFunction.indicator(hook(n, 2)))
 
 
 @pytest.mark.parametrize("env, call, error, message", [
@@ -614,14 +614,18 @@ def _transposition_walk(n):
     (None, lambda: tv_distance(limiting_class_distribution(_transposition_walk(4),
                                                            identity_partition(4)), "cyclic"),
      DomainError, "unknown support 'cyclic'"),
-    (None, lambda: spectrum(5, ClassFunction.indicator(hook(4, 2))),
-     DomainError, "class function is on n=4, not 5"),
     (None, lambda: class_amplitude(_transposition_walk(4), Partition((3,)), identity_partition(4),
                                    0.7),
      DomainError, "start and target classes must partition the walk's n"),
     (None, lambda: ncycle_amplitude_closed_form(1, 0.7), DomainError, "closed form needs n >= 2"),
-    (None, lambda: hook(3, 4), InvalidPartitionError, "hook needs 1 <= k <= n, got k=4, n=3"),
-    (None, lambda: enumerate_partitions(-1), InvalidPartitionError, "n must be nonnegative"),
+    (None, lambda: hook(3, 4), DomainError, "hook needs 1 <= k <= n, got k=4, n=3"),
+    (None, lambda: enumerate_partitions(-1), DomainError, "n must be nonnegative"),
+    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "0,4"]),
+     DomainError, "averaging horizon must be positive"),
+    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "6.28,0"]),
+     DomainError, "need at least one sample"),
+    (None, lambda: run(["oracle", "--n", "4", "--generator", "2,1,1", "--t=-1", "--classical"]),
+     DomainError, "classical walk time must be nonnegative"),
 ])
 def test_library_refusals_raise_their_error(monkeypatch, env, call, error, message):
     # Each refusal raises its own error class with its own message; the

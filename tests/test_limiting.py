@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 
 from symwalk.characters import character_table
-from symwalk.errors import DomainError, SupportMismatchError
+from symwalk.cli import main
+from symwalk.errors import ConsistencyError, DomainError, SupportMismatchError
 from symwalk.limiting import (
     eigenvalue_groups,
     limiting_class_distribution,
@@ -23,7 +24,7 @@ from symwalk.partitions import (
     is_even_class,
 )
 from symwalk.verify import generator_classes
-from symwalk.walk_spectrum import ClassFunction, spectrum
+from symwalk.walk_spectrum import ClassFunction, WalkKernel, spectrum
 
 from conftest import numpy_kernel_reference, transpositions
 
@@ -34,13 +35,13 @@ def hook_ratio(n, k, gamma_spec):
 
 
 def test_groups_s3_transpositions_all_distinct():
-    spec = spectrum(3, transpositions(3))
+    spec = spectrum(transpositions(3))
     groups = eigenvalue_groups(spec)
     assert sorted(len(g) for g in groups.groups) == [1, 1, 1]
 
 
 def test_groups_zero_function_single_group():
-    spec = spectrum(4, ClassFunction(4, {}))
+    spec = spectrum(ClassFunction(4, {}))
     groups = eigenvalue_groups(spec)
     assert len(groups.groups) == 1
     assert len(groups.groups[0]) == len(enumerate_partitions(4))
@@ -48,7 +49,7 @@ def test_groups_zero_function_single_group():
 
 def test_groups_cover_and_are_disjoint():
     for gamma in generator_classes(5):
-        spec = spectrum(5, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         groups = eigenvalue_groups(spec)
         eigenvalue = {r.rep: r.eigenvalue for r in spec.records}
         seen = [nu for g in groups.groups for nu in g]
@@ -61,7 +62,7 @@ def test_groups_cover_and_are_disjoint():
 
 def test_hook_collisions_n5_p3():
     # odd n, odd p <= (n+1)/2: hooks k and n-k+1 collide, nothing else
-    spec = spectrum(5, ClassFunction.indicator(hook(5, 3)))
+    spec = spectrum(ClassFunction.indicator(hook(5, 3)))
     groups = eigenvalue_groups(spec)
     for k in range(1, 6):
         partner = 5 - k + 1
@@ -75,7 +76,7 @@ def test_hook_collisions_n5_p3():
 
 
 def test_limiting_s3_transpositions():
-    spec = spectrum(3, transpositions(3))
+    spec = spectrum(transpositions(3))
     exact = limiting_class_distribution(spec, identity_partition(3))
     assert exact.per_element[Partition((3,))] == Fraction(comb(4, 2), 36)
     assert exact.per_element[Partition((3,))] == Fraction(1, 6)
@@ -83,7 +84,7 @@ def test_limiting_s3_transpositions():
 
 
 def test_limiting_s3_full_cycle_generator():
-    spec = spectrum(3, ClassFunction.indicator(Partition((3,))))
+    spec = spectrum(ClassFunction.indicator(Partition((3,))))
     exact = limiting_class_distribution(spec, identity_partition(3))
     assert exact.per_element[Partition((3,))] == Fraction(2, 9)
 
@@ -91,7 +92,7 @@ def test_limiting_s3_full_cycle_generator():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_limiting_totals_exact(n):
     for gamma in generator_classes(n):
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         exact = limiting_class_distribution(spec, identity_partition(n))
         assert sum(exact.probs.values()) == 1
         for lam, per in exact.per_element.items():
@@ -99,8 +100,25 @@ def test_limiting_totals_exact(n):
             assert 0 <= exact.probs[lam] <= 1
 
 
+def test_limit_that_does_not_sum_to_one_is_a_consistency_error(monkeypatch, capsys):
+    # One extra unit on the 4-cycle class (6 elements) adds 6/24^2 = 1/96.
+    sums = WalkKernel.limiting_sums
+
+    def bumped(self):
+        first, *rest = sums(self)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(WalkKernel, "limiting_sums", bumped)
+    with pytest.raises(ConsistencyError, match="^limiting distribution sums to 97/96, not 1$"):
+        limiting_class_distribution(spectrum(transpositions(4)), identity_partition(4))
+    assert main(["limit", "--n", "4", "--generator", "2,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": "limiting distribution sums to 97/96, not 1", "code": 2}\n'
+
+
 def test_limiting_from_non_identity_start():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     exact = limiting_class_distribution(spec, Partition((2, 2)))
     assert sum(exact.probs.values()) == 1
 
@@ -140,7 +158,7 @@ def test_table_certified_against_grouping_engine(n):
     ident = identity_partition(n)
     ncycle = Partition((n,))
     for p in range(2, n + 1):
-        spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+        spec = spectrum(ClassFunction.indicator(hook(n, p)))
         exact = limiting_class_distribution(spec, ident)
         assert table_ncycle_case(n, p)[1] == exact.per_element[ncycle], (n, p)
 
@@ -157,13 +175,13 @@ def test_transposition_value_shared_by_low_even_p(n):
 def test_hook_ratio_monotonicity_claims(n):
     # p even, 2 <= p <= ceil(n/2): the hook eigenvalue map is injective
     for p in range(2, (n + 1) // 2 + 1, 2):
-        spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+        spec = spectrum(ClassFunction.indicator(hook(n, p)))
         values = [hook_ratio(n, k, spec) for k in range(1, n + 1)]
         assert len(set(values)) == n
     # p odd, n odd, p <= (n+1)/2: f(k) = f(n-k+1) and nothing else
     if n % 2 == 1:
         for p in range(3, (n + 1) // 2 + 1, 2):
-            spec = spectrum(n, ClassFunction.indicator(hook(n, p)))
+            spec = spectrum(ClassFunction.indicator(hook(n, p)))
             values = {k: hook_ratio(n, k, spec) for k in range(1, n + 1)}
             for k in range(1, n + 1):
                 for kp in range(1, n + 1):
@@ -178,7 +196,7 @@ def test_tv_uniform_is_zero():
     n = 4
     probs = {lam: Fraction(class_size(lam), factorial(n)) for lam in enumerate_partitions(n)}
     dist = ClassDistribution(n=n, probs=probs)
-    assert dist.t is None and dist.per_element is dist.per_element
+    assert not hasattr(dist, "t") and dist.per_element is dist.per_element
     assert set(dist.per_element.values()) == {Fraction(1, factorial(n))}
     for field in ("n", "probs", "t", "per_element"):
         with pytest.raises(AttributeError):
@@ -190,14 +208,14 @@ def test_tv_uniform_is_zero():
 def test_tv_of_the_identity_point_mass(n):
     # A_n = S_n for n <= 1, so both supports see the identity as uniform.
     ident = identity_partition(n)
-    dist = limiting_class_distribution(spectrum(n, ClassFunction(n, {})), ident)
+    dist = limiting_class_distribution(spectrum(ClassFunction(n, {})), ident)
     want = 0 if n < 2 else Fraction(1, 2)
     assert tv_distance(dist, "symmetric_group") == want
     assert tv_distance(dist, "alternating_group") == 0
 
 
 def test_tv_bound_n7_transpositions():
-    spec = spectrum(7, transpositions(7))
+    spec = spectrum(transpositions(7))
     exact = limiting_class_distribution(spec, identity_partition(7))
     tv = tv_distance(exact, "symmetric_group")
     assert tv >= Fraction(1, 7) - Fraction(4096, 7 * factorial(7)) > 0
@@ -205,7 +223,7 @@ def test_tv_bound_n7_transpositions():
 
 
 def test_tv_alternating_bound_n5_p3():
-    spec = spectrum(5, ClassFunction.indicator(Partition((3, 1, 1))))
+    spec = spectrum(ClassFunction.indicator(Partition((3, 1, 1))))
     exact = limiting_class_distribution(spec, identity_partition(5))
     tv = tv_distance(exact, "alternating_group")
     bound = (
@@ -217,14 +235,14 @@ def test_tv_alternating_bound_n5_p3():
 
 
 def test_tv_support_mismatch():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     exact = limiting_class_distribution(spec, identity_partition(4))
     with pytest.raises(SupportMismatchError):
         tv_distance(exact, "alternating_group")
 
 
 def test_time_average_converges_to_exact():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     exact = limiting_class_distribution(spec, ident)
     avg = time_averaged_distribution(spec, ident, 2 * math.pi, 4096)
@@ -236,7 +254,7 @@ def test_time_average_converges_to_exact():
 def test_time_average_matches_the_numpy_reference(n):
     horizon, samples = 2 * math.pi, 64
     for gamma in generator_classes(n):
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for mu in spec.classes:
             avg = time_averaged_distribution(spec, mu, horizon, samples)
             acc = sum(numpy_kernel_reference(spec.kernel(mu), (j + 0.5) * horizon / samples)[1]
@@ -245,14 +263,14 @@ def test_time_average_matches_the_numpy_reference(n):
 
 
 def test_time_average_short_horizon_is_start():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     avg = time_averaged_distribution(spec, ident, 1e-9, 1)
     assert abs(avg.probs[ident] - 1) < 1e-12
 
 
 def test_time_average_periodicity():
-    spec = spectrum(5, transpositions(5))
+    spec = spectrum(transpositions(5))
     ident = identity_partition(5)
     a = time_averaged_distribution(spec, ident, 2 * math.pi, 512)
     b = time_averaged_distribution(spec, ident, 20 * math.pi, 5120)
@@ -265,7 +283,7 @@ def test_limiting_matches_oracle_cesaro(n):
     # From every start class; the worst error over n <= 5 is 1.0e-15.
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for start in enumerate_partitions(n):
             dense = limiting_distribution(walk, start)
             for lam, p in limiting_class_distribution(spec, start).probs.items():
@@ -274,7 +292,7 @@ def test_limiting_matches_oracle_cesaro(n):
 
 def test_kernel_limit_matches_per_pair_grouping_n14():
     n = 14
-    spec = spectrum(n, transpositions(n))
+    spec = spectrum(transpositions(n))
     mu = identity_partition(n)
     exact = limiting_class_distribution(spec, mu)
     table = character_table(n)

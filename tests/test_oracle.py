@@ -228,7 +228,7 @@ def test_classical_matches_spectral_engine():
     from symwalk.walk_spectrum import classical_class_distribution
 
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
@@ -246,7 +246,7 @@ def test_classical_keeps_its_mass_at_large_times(n):
     ident = identity_partition(n)
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for t in (1e10, 1e14, 1e17, 1e300, 1e308):
             dense = class_sums(walk, evolve_classical(walk, ident, t))
             assert abs(sum(dense.values()) - 1) < 1e-12
@@ -276,7 +276,7 @@ def test_quantum_matches_spectral_engine_all_generators(n):
     times = [2 * math.pi * j / 16 for j in range(16)]
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for t in times:
             agg = class_aggregate(walk, evolve_quantum(walk, ident, t))
             dist = class_distribution(spec, ident, t)
@@ -289,7 +289,7 @@ def test_adjacency_spectrum_matches_engine_multiset(n):
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
         evals = np.sort(np.linalg.eigh(dense_adjacency(walk))[0])
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         multiset = np.sort(
             np.concatenate([[float(r.eigenvalue)] * (r.dim**2) for r in spec.records])
         )
@@ -323,7 +323,7 @@ CLASSICAL_TOL = {0.1: 1e-14, 2.0: 1e-14, 100.0: 1e-14}
 def test_every_class_start_matches_the_spectral_engine(n):
     for gamma in generator_classes(n):
         walk = build_cayley(n, gamma)
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for start in enumerate_partitions(n):
             for t, tol in QUANTUM_TOL.items():
                 dense = class_aggregate(walk, evolve_quantum(walk, start, t)).sums

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symwalk.errors import (
-    InvalidPartitionError,
-    InvalidPermutationError,
-    ResourceLimitError,
-)
+from symwalk.errors import DomainError, ResourceLimitError
 from symwalk.partitions import (
     Partition,
     centralizer_order,
@@ -59,15 +55,15 @@ def test_order_is_lexicographic_descending(n):
 
 
 def test_invalid_partitions_rejected():
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(DomainError, match=r"^parts must be weakly decreasing, got \(1, 2\)$"):
         Partition((1, 2))
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(DomainError, match=r"^parts must be positive integers, got \(2, 0\)$"):
         Partition((2, 0))
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(DomainError, match=r"^parts must be positive integers, got \(3, -1\)$"):
         Partition([3, -1])
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(DomainError, match=r"^parts must be weakly decreasing, got \(1, 2, 2\)$"):
         Partition([1, 2, 2])
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(DomainError, match=r"^cannot parse partition from '2,x'$"):
         Partition.parse("2,x")
 
 
@@ -146,9 +142,9 @@ def test_cycle_type_examples():
 
 
 def test_cycle_type_rejects_non_bijections():
-    with pytest.raises(InvalidPermutationError):
+    with pytest.raises(DomainError, match=r"^\(1, 1, 3\) is not a permutation of 1\.\.3$"):
         cycle_type((1, 1, 3))
-    with pytest.raises(InvalidPermutationError):
+    with pytest.raises(DomainError, match=r"^\(0, 1, 2\) is not a permutation of 1\.\.3$"):
         cycle_type((0, 1, 2))
 
 

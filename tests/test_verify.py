@@ -90,6 +90,14 @@ def test_suite_refuses_n_without_a_walk(n):
         verify.run_suite(n)
 
 
+@pytest.mark.parametrize("t_samples", [0, -3])
+def test_suite_refuses_to_sample_no_times(t_samples):
+    # With no times the quantum check would compare nothing and pass.
+    message = f"^verify needs at least one time sample, got {t_samples}$"
+    with pytest.raises(DomainError, match=message):
+        verify.run_suite(3, t_samples=t_samples)
+
+
 def _double_dimension(monkeypatch, parts):
     from symwalk import walk_spectrum
     from symwalk.partitions import Partition

@@ -59,20 +59,20 @@ def test_class_function_is_a_frozen_value(zero):
 
 
 def test_spectrum_s3_transpositions():
-    spec = spectrum(3, transpositions(3))
+    spec = spectrum(transpositions(3))
     eigs = {str(r.rep): r.eigenvalue for r in spec.records}
     assert eigs == {"3": 3, "2,1": 0, "1,1,1": -3}
 
 
 def test_spectrum_zero_function():
-    spec = spectrum(5, ClassFunction(5, {}))
+    spec = spectrum(ClassFunction(5, {}))
     assert all(r.eigenvalue == 0 for r in spec.records)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transposition_eigenvalues_closed_form(n):
     # E_nu = sum_j (C(nu_j,2) - C(nu'_j,2)) for the transposition walk
-    spec = spectrum(n, transpositions(n))
+    spec = spectrum(transpositions(n))
     for rec in spec.records:
         conj = transpose(rec.rep)
         want = sum(binom(p, 2) for p in rec.rep.parts) - sum(binom(p, 2) for p in conj.parts)
@@ -82,7 +82,7 @@ def test_transposition_eigenvalues_closed_form(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_eigenvalue_integrality_and_completeness(n):
     for gamma in generator_classes(n):
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         assert all(r.eigenvalue.denominator == 1 for r in spec.records)
         assert sum(r.dim**2 for r in spec.records) == factorial(n)
 
@@ -90,13 +90,13 @@ def test_eigenvalue_integrality_and_completeness(n):
 def test_weighted_class_function_allows_rationals():
     f = ClassFunction(4, {Partition((2, 1, 1)): Fraction(1, 3),
                           Partition((2, 2)): Fraction(1, 2)})
-    spec = spectrum(4, f)
+    spec = spectrum(f)
     eigenvalue = {r.rep: r.eigenvalue for r in spec.records}
     assert eigenvalue[Partition((4,))] == Fraction(6, 3) + Fraction(3, 2)
 
 
 def test_amplitude_at_time_zero_is_kronecker():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     for lam in enumerate_partitions(4):
         for mu in enumerate_partitions(4):
             amp = class_amplitude(spec, lam, mu, 0.0)
@@ -105,13 +105,13 @@ def test_amplitude_at_time_zero_is_kronecker():
 
 
 def test_amplitude_s3_closed_form_value():
-    spec = spectrum(3, transpositions(3))
+    spec = spectrum(transpositions(3))
     amp = class_amplitude(spec, Partition((3,)), identity_partition(3), math.pi / 3)
     assert abs(amp - (-4 / math.sqrt(18))) < 1e-12
 
 
 def test_amplitude_symmetry_and_bound():
-    spec = spectrum(5, ClassFunction.indicator(Partition((3, 2))))
+    spec = spectrum(ClassFunction.indicator(Partition((3, 2))))
     lams = enumerate_partitions(5)
     for t in (0.3, 1.1, 4.0):
         for lam in lams:
@@ -124,7 +124,7 @@ def test_amplitude_symmetry_and_bound():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_class_level_unitarity(n):
-    spec = spectrum(n, transpositions(n))
+    spec = spectrum(transpositions(n))
     for mu in (identity_partition(n), Partition((n,))):
         for t in (0.0, 0.5, 2.0, 5.9):
             dist = class_distribution(spec, mu, t)
@@ -133,7 +133,7 @@ def test_class_level_unitarity(n):
 
 def test_periodicity():
     for gamma in generator_classes(5):
-        spec = spectrum(5, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for lam in (Partition((5,)), Partition((3, 1, 1))):
             a = class_amplitude(spec, lam, identity_partition(5), 0.77)
             b = class_amplitude(spec, lam, identity_partition(5), 0.77 + 2 * math.pi)
@@ -141,13 +141,13 @@ def test_periodicity():
 
 
 def test_distribution_t0_is_start_indicator():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     dist = class_distribution(spec, identity_partition(4), 0.0)
     assert abs(dist.probs[identity_partition(4)] - 1) < 1e-12
 
 
 def test_distribution_s3_peak():
-    spec = spectrum(3, transpositions(3))
+    spec = spectrum(transpositions(3))
     dist = class_distribution(spec, identity_partition(3), math.pi / 3)
     assert abs(dist.probs[Partition((3,))] - 8 / 9) < 1e-12
     assert abs(dist.per_element[Partition((3,))] - 4 / 9) < 1e-12
@@ -155,7 +155,7 @@ def test_distribution_s3_peak():
 
 def test_distribution_matches_oracle_n4():
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     dense = class_aggregate(walk, evolve_quantum(walk, identity_partition(4), 0.7))
     dist = class_distribution(spec, identity_partition(4), 0.7)
     for lam, p in dist.probs.items():
@@ -166,7 +166,7 @@ def test_distribution_matches_oracle_n4():
 def test_even_generator_leaves_odd_classes_exactly_empty(gamma):
     gamma = Partition(gamma)
     n = gamma.n
-    spec = spectrum(n, ClassFunction.indicator(gamma))
+    spec = spectrum(ClassFunction.indicator(gamma))
     dist = class_distribution(spec, identity_partition(n), 0.9)
     for lam, p in dist.probs.items():
         if (n - len(lam.parts)) % 2 == 1:
@@ -182,7 +182,7 @@ def test_closed_form_examples():
 
 
 def test_closed_form_matches_spectral_sum_n4():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     amp = class_amplitude(spec, Partition((4,)), identity_partition(4), 0.3)
     assert abs(amp - ncycle_amplitude_closed_form(4, 0.3)) < 1e-12
 
@@ -205,7 +205,7 @@ def test_max_ncycle_probability_attained_numerically():
 
 
 def test_classical_t0_and_uniform_limit():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     d0 = classical_class_distribution(spec, ident, 0.0)
     assert abs(d0.probs[ident] - 1) < 1e-12
@@ -217,7 +217,7 @@ def test_classical_t0_and_uniform_limit():
 
 def test_classical_matches_dense_exponential():
     walk = build_cayley(4, Partition((2, 1, 1)))
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
@@ -227,10 +227,10 @@ def test_classical_matches_dense_exponential():
 
 
 def test_classical_rejects_bad_weights():
-    spec = spectrum(3, ClassFunction(3, {Partition((2, 1)): Fraction(-1)}))
+    spec = spectrum(ClassFunction(3, {Partition((2, 1)): Fraction(-1)}))
     with pytest.raises(DomainError):
         classical_class_distribution(spec, identity_partition(3), 1.0)
-    weighted = spectrum(3, ClassFunction(3, {Partition((2, 1)): Fraction(1, 2)}))
+    weighted = spectrum(ClassFunction(3, {Partition((2, 1)): Fraction(1, 2)}))
     with pytest.raises(DomainError):
         classical_class_distribution(weighted, identity_partition(3), 1.0)
 
@@ -238,7 +238,7 @@ def test_classical_rejects_bad_weights():
 def test_integrality_assertion_wired():
     # A correct character engine never trips this; make sure the check exists
     # by verifying the single-class path computes integer eigenvalues.
-    spec = spectrum(6, ClassFunction.indicator(Partition((4, 2))))
+    spec = spectrum(ClassFunction.indicator(Partition((4, 2))))
     assert all(r.eigenvalue.denominator == 1 for r in spec.records)
 
 
@@ -246,10 +246,10 @@ def test_integrality_assertion_covers_unions_of_classes(monkeypatch):
     # Each E_nu of a 0/1 generator set is a sum of central characters,
     # rational algebraic integers; a broken dimension must trip the check.
     f = ClassFunction(5, {hook(5, 2): 1, hook(5, 3): 1})
-    assert all(r.eigenvalue.denominator == 1 for r in spectrum(5, f).records)
+    assert all(r.eigenvalue.denominator == 1 for r in spectrum(f).records)
     monkeypatch.setattr(walk_spectrum, "dimension", lambda nu: 7 * dimension(nu))
     with pytest.raises(ConsistencyError):
-        spectrum(5, f)
+        spectrum(f)
 
 
 def _grouped_phase_sum(spec, table, lam, mu, phase):
@@ -263,7 +263,7 @@ def _grouped_phase_sum(spec, table, lam, mu, phase):
 
 def test_kernel_matches_per_pair_phase_sum_n14():
     n = 14
-    spec = spectrum(n, transpositions(n))
+    spec = spectrum(transpositions(n))
     table = character_table(n)
     nfact = factorial(n)
     d = spec.f.degree()
@@ -284,7 +284,7 @@ def test_kernel_matches_per_pair_phase_sum_n14():
 
 def test_ncycle_amplitude_matches_closed_form_n14():
     n = 14
-    spec = spectrum(n, transpositions(n))
+    spec = spectrum(transpositions(n))
     for j in range(64):
         t = 2 * math.pi * j / 64
         amp = class_amplitude(spec, Partition((n,)), identity_partition(n), t)
@@ -292,7 +292,7 @@ def test_ncycle_amplitude_matches_closed_form_n14():
 
 
 def test_kernel_is_built_once_per_start():
-    spec = spectrum(6, transpositions(6))
+    spec = spectrum(transpositions(6))
     mu = Partition((3, 3))
     assert spec.kernel(mu) is spec.kernel(mu)
     assert spec.kernel(mu) is not spec.kernel(identity_partition(6))
@@ -301,7 +301,7 @@ def test_kernel_is_built_once_per_start():
 
 
 def test_overflowing_phase_is_refused():
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     with pytest.raises(DomainError):
         class_distribution(spec, identity_partition(4), 1e308)
     with pytest.raises(DomainError):
@@ -315,7 +315,7 @@ def test_overflowing_phase_is_refused():
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_classical_refuses_a_non_finite_time(t):
     # At t = inf the stationary group's decay would be e^{-inf * 0}, NaN.
-    spec = spectrum(4, transpositions(4))
+    spec = spectrum(transpositions(4))
     with pytest.raises(DomainError):
         classical_class_distribution(spec, identity_partition(4), t)
 
@@ -330,7 +330,7 @@ def _assert_matches_numpy_reference(kernel, t):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_kernel_matches_the_numpy_reference(n):
     for gamma in generator_classes(n):
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for mu in spec.classes:
             for t in (0.0, 0.7, 3.1, 100.0):
                 _assert_matches_numpy_reference(spec.kernel(mu), t)
@@ -341,7 +341,7 @@ def test_kernel_matches_the_numpy_reference(n):
 @pytest.mark.parametrize("cycle", [2, 3])
 def test_n14_sweeps_match_the_numpy_reference(cycle):
     n = 14
-    spec = spectrum(n, ClassFunction.indicator(Partition((cycle,) + (1,) * (n - cycle))))
+    spec = spectrum(ClassFunction.indicator(Partition((cycle,) + (1,) * (n - cycle))))
     for mu in (identity_partition(n), Partition((3, 3, 3, 3, 2))):
         for j in range(64):
             _assert_matches_numpy_reference(spec.kernel(mu), 1.3 + 2 * math.pi * j / 63)
@@ -352,7 +352,7 @@ def test_folding_halves_the_transposition_terms():
     # and B[w] vanishes: the folded rows hold about half the nonzero
     # entries of K (the E = 0 group counts in both).
     n = 14
-    kernel = spectrum(n, transpositions(n)).kernel(identity_partition(n))
+    kernel = spectrum(transpositions(n)).kernel(identity_partition(n))
     folded = kernel._folded
     terms = sum(len(a) + len(b) for (a, _), (b, _) in zip(folded.even_rows, folded.odd_rows))
     _, matrix = kernel_matrix(kernel.spec, kernel.mu)
@@ -364,7 +364,7 @@ def test_folding_halves_the_transposition_terms():
 def test_limiting_sums_are_the_squares_of_the_grouped_kernel(n):
     # The fold keeps every square: K+^2 + K-^2 = (A^2 + B^2)/2, exactly.
     for gamma in generator_classes(n):
-        spec = spectrum(n, ClassFunction.indicator(gamma))
+        spec = spectrum(ClassFunction.indicator(gamma))
         for mu in spec.classes:
             _, matrix = kernel_matrix(spec, mu)
             assert spec.kernel(mu).limiting_sums() == [sum(k * k for k in row) for row in matrix]
