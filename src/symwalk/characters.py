@@ -58,6 +58,24 @@ def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
     return {key: value for key, value in out.items() if value}
 
 
+def _border_strips(mask: int, r: int) -> list[tuple[int, int]]:
+    """p_r times the one Schur function s_mask, as (abacus, sign) pairs.
+
+    The rule of ``_times_power_sum`` for a single abacus, which
+    ``character_table`` memoizes.  The column fold keeps its own inline
+    copy: calling this once per abacus would slow it by about a sixth.
+    """
+    strips = []
+    between = (1 << (r - 1)) - 1
+    movable = mask & ~(mask >> r)
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        sign = -1 if (mask >> bead.bit_length() & between).bit_count() & 1 else 1
+        strips.append((mask ^ bead ^ bead << r, sign))
+    return strips
+
+
 def character(nu: Partition, lam: Partition) -> int:
     """chi_nu(lam), the entry of ``character_column(lam)`` at nu, under its cap."""
     if nu.n != lam.n:
@@ -143,19 +161,43 @@ def character_table(n: int) -> CharacterTable:
     after it, so every prefix finishes as a class.  The expensive steps
     near a leaf then multiply by large parts, which move few beads, and
     only the current path of expansions is alive.
+
+    Many prefixes reach the same abacus, so each (abacus, r) has its
+    border strips computed once, in a memo that dies with the call.  The
+    last part of a class is added straight into its column.
     """
     check_cap(n, CHARACTER_TABLE_CAP, "character table")
     parts = tuple(enumerate_partitions(n))
-    rows = [_abacus(nu) for nu in parts]
+    if not n:
+        return CharacterTable(n=n, classes=parts, columns=((1,),))
+    row = {_abacus(nu): i for i, nu in enumerate(parts)}
     position = {lam.parts: k for k, lam in enumerate(parts)}
     columns: list[tuple[int, ...]] = [()] * len(parts)
+    strips: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n + 1)]
+    finish: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n + 1)]
 
     def extend(expansion: dict[int, int], prefix: tuple[int, ...], remaining: int) -> None:
-        if not remaining:
-            columns[position[prefix]] = tuple(expansion.get(row, 0) for row in rows)
-            return
-        for r in (*range(prefix[0] if prefix else 1, remaining // 2 + 1), remaining):
-            extend(_times_power_sum(expansion, r), (r,) + prefix, remaining - r)
+        for r in range(prefix[0] if prefix else 1, remaining // 2 + 1):
+            memo = strips[r]  # abacus -> its (abacus, sign) strips
+            out: dict[int, int] = {}
+            for mask, coeff in expansion.items():
+                moves = memo.get(mask)
+                if moves is None:
+                    moves = memo[mask] = _border_strips(mask, r)
+                for key, sign in moves:
+                    out[key] = out.get(key, 0) + sign * coeff
+            extend({key: value for key, value in out.items() if value}, (r,) + prefix,
+                   remaining - r)
+        memo = finish[remaining]  # abacus -> its strips as (row, sign)
+        column = [0] * len(parts)
+        for mask, coeff in expansion.items():
+            moves = memo.get(mask)
+            if moves is None:
+                moves = memo[mask] = [(row[key], sign)
+                                      for key, sign in _border_strips(mask, remaining)]
+            for i, sign in moves:
+                column[i] += sign * coeff
+        columns[position[(remaining,) + prefix]] = tuple(column)
 
     extend({(1 << n) - 1: 1}, (), n)
     return CharacterTable(n=n, classes=parts, columns=tuple(columns))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from functools import cache
 from math import comb, factorial
@@ -63,18 +64,24 @@ def test_table_equals_the_reference_recursion(n):
     )
 
 
-@pytest.mark.parametrize("n, folds", [(10, 83), (14, 269)])
-def test_table_folds_smallest_parts_first(monkeypatch, n, folds):
+@pytest.mark.parametrize("n, strips", [(10, 211), (14, 898)])
+def test_table_folds_smallest_parts_first(monkeypatch, n, strips):
+    # Each (abacus, r) the fold meets has its strips computed exactly once,
+    # and every part r is folded with 0 or at least r still to come.
     calls = []
-    original = characters._times_power_sum
+    original = characters._border_strips
 
-    def counted(expansion, r):
-        calls.append(r)
-        return original(expansion, r)
+    def counted(mask, r):
+        calls.append((mask, r))
+        return original(mask, r)
 
-    monkeypatch.setattr(characters, "_times_power_sum", counted)
+    monkeypatch.setattr(characters, "_border_strips", counted)
     character_table(n)
-    assert len(calls) == folds
+    assert len(calls) == len(set(calls)) == strips
+    floor = n * (n - 1) // 2  # the sum of the empty partition's beta numbers
+    for mask, r in calls:
+        size = sum(b for b in range(mask.bit_length()) if mask >> b & 1) - floor
+        assert n - size - r == 0 or n - size - r >= r
 
 
 def test_every_column_equals_the_table_n14():
@@ -93,9 +100,30 @@ def test_single_characters_and_columns_equal_the_table(n):
             assert character(nu, lam) == value
 
 
+def _held(value, seen):
+    """Entries in the containers reachable from value."""
+    if id(value) in seen or not isinstance(value, (dict, list, tuple, set)):
+        return 0
+    seen.add(id(value))
+    items = [*value.keys(), *value.values()] if isinstance(value, dict) else value
+    return len(value) + sum(_held(v, seen) for v in items)
+
+
 def test_no_character_memo_outlives_a_call():
     assert not [name for name, value in vars(characters).items()
                 if callable(getattr(value, "cache_clear", None))]
+    # A fresh copy of the module, so no earlier test has filled a memo at n = 10.
+    spec = importlib.util.spec_from_file_location("symwalk._fresh", characters.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+
+    def held():
+        return {name: _held(value, set()) for name, value in vars(fresh).items()
+                if not name.startswith("__")}
+
+    before = held()
+    fresh.character_table(10)
+    assert held() == before
 
 
 # Columns at n = 30, far past the table cap, against the closed forms.

@@ -16,7 +16,8 @@ def _argvs():
     for n in range(15):
         for fmt in ("csv", "json"):
             yield ("characters", "--n", str(n), "--format", fmt), None
-    yield ("characters", "--n", "16", "--format", "csv"), "16"
+    for n in (16, 18, 20):
+        yield ("characters", "--n", str(n), "--format", "csv"), str(n)
     for gamma in enumerate_partitions(7)[:-1]:
         yield ("limit", "--n", "7", "--generator", str(gamma)), None
     for gamma in ("30", "7" + ",1" * 23, "2" + ",1" * 28):
@@ -91,6 +92,10 @@ DIGESTS = {
         "0c9f0760adc6d9a88fe50fccdb9fa957cfc795ee05ad12c808def6cab61e779d",
     "characters --n 16 --format csv":
         "c957b9013b406b57f856b3196bf1639ee0d7d55eb47af12671ab8e5de1cb101c",
+    "characters --n 18 --format csv":
+        "bde9c68962cf13ff2672e1ff30ca25e7946d7511de639255ae8891a6b23d90fa",
+    "characters --n 20 --format csv":
+        "e29cd6fe94c147bd7acd620338e4a2734da66e3e13a0bc445fee09d830a1a03b",
     "limit --n 7 --generator 7":
         "5372c6d323072895c126848be180de5d98f3f16ea557569c5d3aaff416344127",
     "limit --n 7 --generator 6,1":
