@@ -16,7 +16,6 @@ test suite.  Everything here is big-integer exact; no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -33,41 +32,20 @@ def binom(a: int, b: int) -> int:
 
 
 def _abacus(nu: Partition) -> int:
-    """nu's n beta numbers nu_i + n - 1 - i (zero parts padded) as a bitmask."""
-    n = nu.n
-    parts = nu.parts + (0,) * (n - len(nu.parts))
-    return sum(1 << (part + n - 1 - i) for i, part in enumerate(parts))
-
-
-def _times_power_sum(expansion: dict[int, int], r: int) -> dict[int, int]:
-    """p_r times a Schur expansion {abacus: coefficient}.
-
-    Adding a border strip of length r moves one bead b to a free b + r;
-    its height, the number of beads strictly between, gives the sign.
-    """
-    out: dict[int, int] = {}
-    between = (1 << (r - 1)) - 1
-    for mask, coeff in expansion.items():
-        movable = mask & ~(mask >> r)  # beads b with b + r free
-        while movable:
-            bead = movable & -movable
-            movable ^= bead
-            key = mask ^ bead ^ bead << r
-            value = -coeff if (mask >> bead.bit_length() & between).bit_count() & 1 else coeff
-            out[key] = out.get(key, 0) + value
-    return {key: value for key, value in out.items() if value}
+    """nu's n beta numbers nu_i + n - 1 - i as a bitmask; zero parts fill the low bits."""
+    n, k = nu.n, len(nu.parts)
+    return sum((1 << (part + n - 1 - i) for i, part in enumerate(nu.parts)), (1 << (n - k)) - 1)
 
 
 def _border_strips(mask: int, r: int) -> list[tuple[int, int]]:
     """p_r times the one Schur function s_mask, as (abacus, sign) pairs.
 
-    The rule of ``_times_power_sum`` for a single abacus, which
-    ``character_table`` memoizes.  The column fold keeps its own inline
-    copy: calling this once per abacus would slow it by about a sixth.
+    Adding a border strip of length r moves one bead b to a free b + r;
+    its height, the number of beads strictly between, gives the sign.
     """
     strips = []
     between = (1 << (r - 1)) - 1
-    movable = mask & ~(mask >> r)
+    movable = mask & ~(mask >> r)  # beads b with b + r free
     while movable:
         bead = movable & -movable
         movable ^= bead
@@ -86,10 +64,24 @@ def character(nu: Partition, lam: Partition) -> int:
 def character_column(lam: Partition) -> tuple[int, ...]:
     """chi_nu(lam) for every irrep nu of S_n, in canonical order: the
     Schur expansion of p_lam at each abacus, folding the parts smallest
-    first, the order ``character_table`` uses."""
+    first, the order ``character_table`` uses.  As there, the largest
+    part is added straight into the column."""
     reps = enumerate_partitions(lam.n)  # checks the cap before the fold
-    expansion = reduce(_times_power_sum, reversed(lam.parts), {(1 << lam.n) - 1: 1})
-    return tuple(expansion.get(_abacus(nu), 0) for nu in reps)
+    if not lam.parts:
+        return (1,)
+    expansion = {(1 << lam.n) - 1: 1}
+    for r in reversed(lam.parts[1:]):
+        out: dict[int, int] = {}
+        for mask, coeff in expansion.items():
+            for key, sign in _border_strips(mask, r):
+                out[key] = out.get(key, 0) + sign * coeff
+        expansion = {key: value for key, value in out.items() if value}
+    row = {_abacus(nu): i for i, nu in enumerate(reps)}
+    column = [0] * len(reps)
+    for mask, coeff in expansion.items():
+        for key, sign in _border_strips(mask, lam.parts[0]):
+            column[row[key]] += sign * coeff
+    return tuple(column)
 
 
 def dimension(nu: Partition) -> int:

@@ -116,7 +116,8 @@ def build_parser() -> _Parser:
             p.add_argument("--start", default=None,
                            help="starting class (default: identity)")
         if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="output format (default: json)")
         p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("characters", help="character table of S_n")
@@ -151,7 +152,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="oracle-vs-spectral and closed-form-vs-abacus suite")
     add_common(p)
-    p.add_argument("--t-samples", type=int, default=16)
+    p.add_argument("--t-samples", type=int, default=16,
+                   help="time samples over [0, 2*pi) for the quantum oracle check")
     p.add_argument("--detailed", action="store_true",
                    help="include per (t, class) error rows")
 
@@ -163,7 +165,7 @@ def build_parser() -> _Parser:
                       help="emit the edge list as CSV perm_g,perm_h")
     what.add_argument("--t", type=_parse_time, default=None,
                       help="evolve and report per-class sums")
-    p.add_argument("--classical", action="store_true")
+    p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     return parser
 

@@ -84,13 +84,30 @@ def test_table_folds_smallest_parts_first(monkeypatch, n, strips):
         assert n - size - r == 0 or n - size - r >= r
 
 
+@pytest.mark.parametrize("lam", [Partition((3, 2, 2, 1)), identity_partition(8)], ids=str)
+def test_column_folds_smallest_parts_first(monkeypatch, lam):
+    # The column folds through the table's strip rule, in the table's order,
+    # and its last fold is the largest part.
+    calls = []
+    original = characters._border_strips
+
+    def counted(mask, r):
+        calls.append(r)
+        return original(mask, r)
+
+    monkeypatch.setattr(characters, "_border_strips", counted)
+    character_column(lam)
+    assert calls == sorted(calls)
+    assert calls[-1] == lam.parts[0]
+
+
 def test_every_column_equals_the_table_n14():
     table = character_table(14)
     for lam in table.classes:
         assert character_column(lam) == table.column(lam)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_single_characters_and_columns_equal_the_table(n):
     table = character_table(n)
     for lam in table.classes:
@@ -207,13 +224,13 @@ def test_a_single_character_is_its_column_entry_under_the_column_cap(monkeypatch
     # The fold of one class grows with p(n), so a single character keeps
     # the partition cap that its column checks, and refuses before folding.
     calls = []
-    original = characters._times_power_sum
+    original = characters._border_strips
 
-    def counted(expansion, r):
+    def counted(mask, r):
         calls.append(r)
-        return original(expansion, r)
+        return original(mask, r)
 
-    monkeypatch.setattr(characters, "_times_power_sum", counted)
+    monkeypatch.setattr(characters, "_border_strips", counted)
     monkeypatch.delenv("SYMWALK_MAX_N", raising=False)
     nu, lam = Partition((16, 15)), identity_partition(31)
     with pytest.raises(ResourceLimitError,
