@@ -17,9 +17,8 @@ _EXPORTS = {
     "limiting": ("EigenGroups", "eigenvalue_groups", "limiting_class_distribution",
                  "table_ncycle_case", "time_averaged_distribution", "tv_distance"),
     "partitions": ("Partition", "class_size", "cycle_type", "enumerate_partitions", "transpose"),
-    "walk_spectrum": ("ClassDistribution", "ClassFunction", "WalkSpectrum", "class_amplitude",
-                      "class_distribution", "classical_class_distribution",
-                      "ncycle_amplitude_closed_form", "spectrum"),
+    "walk_spectrum": ("ClassFunction", "WalkSpectrum", "class_amplitude", "class_distribution",
+                      "classical_class_distribution", "ncycle_amplitude_closed_form", "spectrum"),
 }
 # Every public name to its home submodule; a submodule is its own home.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

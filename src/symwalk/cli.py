@@ -330,7 +330,7 @@ def _cmd_amplitude(cfg: argparse.Namespace) -> int:
         "target": list(cfg.target.parts),
         "t": cfg.t,
         "amplitude": {"re": amp.real, "im": amp.imag},
-        "probability": class_distribution(spec, cfg.start, cfg.t).probs[cfg.target],
+        "probability": class_distribution(spec, cfg.start, cfg.t)[cfg.target],
     }
     _emit(cfg, _json(payload))
     return 0
@@ -343,8 +343,8 @@ def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
         "t": cfg.t,
         "start": list(cfg.start.parts),
         "classes": [
-            _class_row(lam, probability=dist.probs[lam], per_element=dist.per_element[lam])
-            for lam in dist.probs
+            _class_row(lam, probability=p, per_element=p / class_size(lam))
+            for lam, p in dist.items()
         ],
     }
 
@@ -373,12 +373,11 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
     spec = _walk_spectrum(cfg)
     exact = limiting_class_distribution(spec, cfg.start)
     groups = eigenvalue_groups(spec)
-    classes = [
-        _class_row(lam, probability=float(p), exact=exact_str(p),
-                   per_element=float(exact.per_element[lam]),
-                   per_element_exact=exact_str(exact.per_element[lam]))
-        for lam, p in exact.probs.items()
-    ]
+    classes = []
+    for lam, p in exact.items():
+        per = p / class_size(lam)
+        classes.append(_class_row(lam, probability=float(p), exact=exact_str(p),
+                                  per_element=float(per), per_element_exact=exact_str(per)))
     tv = []
     for support in ("symmetric_group", "alternating_group"):
         try:
@@ -403,7 +402,7 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
             "horizon": horizon,
             "samples": samples,
             "max_abs_gap": max(
-                abs(avg.probs[lam] - float(exact.probs[lam])) for lam in exact.probs
+                abs(avg[lam] - float(p)) for lam, p in exact.items()
             ),
         }
     _emit(cfg, _json(payload))

@@ -27,7 +27,7 @@ from typing import Literal, NamedTuple
 
 from .errors import ConsistencyError, DomainError, SupportMismatchError
 from .partitions import Partition, class_size, is_even_class
-from .walk_spectrum import ClassDistribution, WalkSpectrum
+from .walk_spectrum import WalkSpectrum
 
 
 class EigenGroups(NamedTuple):
@@ -45,7 +45,7 @@ def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
     return EigenGroups(groups=tuple(map(tuple, groups.values())))
 
 
-def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistribution:
+def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> dict[Partition, Fraction]:
     """Exact time average of the class distribution started from c_mu."""
     scale = Fraction(spec.class_sizes[mu], factorial(spec.n) ** 2)
     probs = {lam: scale * acc * spec.class_sizes[lam]
@@ -53,7 +53,7 @@ def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> ClassDistr
     total = sum(probs.values(), Fraction(0))
     if total != 1:
         raise ConsistencyError(f"limiting distribution sums to {total}, not 1")
-    return ClassDistribution(n=spec.n, probs=probs)
+    return probs
 
 
 def table_ncycle_case(n: int, p: int) -> tuple[str, Fraction]:
@@ -97,30 +97,29 @@ def table_ncycle_case(n: int, p: int) -> tuple[str, Fraction]:
 Support = Literal["symmetric_group", "alternating_group"]
 
 
-def tv_distance(dist: ClassDistribution, support: Support = "symmetric_group") -> Fraction:
+def tv_distance(probs: dict[Partition, Fraction], support: Support = "symmetric_group") -> Fraction:
     """Exact total variation distance from uniform on the given support.
 
     Both distributions are constant on classes, so the half-L1 sum runs
-    classwise and stays exact.  Alternating support is only meaningful
-    when every odd class carries zero probability; for n <= 1, A_n = S_n.
+    classwise and stays exact.  The support's order is the total size of
+    its classes: n!, or n!/2 for A_n at n >= 2.  Alternating support is
+    only meaningful when every odd class carries zero probability.
     """
     if support not in ("symmetric_group", "alternating_group"):
         raise DomainError(f"unknown support {support!r}")
-    alternating = support == "alternating_group" and dist.n >= 2
-    odd_mass = sum((p for lam, p in dist.probs.items() if not is_even_class(lam)), Fraction(0))
-    if alternating and odd_mass != 0:
+    alternating = support == "alternating_group"
+    if alternating and any(p for lam, p in probs.items() if not is_even_class(lam)):
         raise SupportMismatchError(
             "alternating-group support requested but odd classes carry mass"
         )
-    share = Fraction(1 + alternating, factorial(dist.n))
-    uniform = {lam: share * class_size(lam) if not alternating or is_even_class(lam) else 0
-               for lam in dist.probs}
-    return sum((abs(p - uniform[lam]) for lam, p in dist.probs.items()), Fraction(0)) / 2
+    sizes = {lam: class_size(lam) if not alternating or is_even_class(lam) else 0 for lam in probs}
+    order = sum(sizes.values())
+    return sum((abs(p - Fraction(sizes[lam], order)) for lam, p in probs.items()), Fraction(0)) / 2
 
 
 def time_averaged_distribution(
     spec: WalkSpectrum, mu: Partition, horizon: float, samples: int
-) -> ClassDistribution:
+) -> dict[Partition, float]:
     """Numeric quadrature of (1/T) integral_0^T P_t dt by the midpoint rule.
 
     Converges to ``limiting_class_distribution`` as the horizon and the
@@ -135,4 +134,4 @@ def time_averaged_distribution(
     acc = [0.0] * len(spec.classes)
     for j in range(samples):
         acc = list(map(add, acc, kernel.quantum_probabilities((j + 0.5) * horizon / samples)))
-    return ClassDistribution.of(spec, [a / samples for a in acc])
+    return dict(zip(spec.classes, [a / samples for a in acc]))

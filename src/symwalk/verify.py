@@ -70,7 +70,7 @@ def check_quantum_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum, tim
     worst = 0.0
     for t in times:
         dense = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t))
-        for lam, p in class_distribution(spec, ident, t).probs.items():
+        for lam, p in class_distribution(spec, ident, t).items():
             err = abs(p - dense.sums[lam])
             worst = max(worst, err)
             if rows is not None:
@@ -88,7 +88,7 @@ def check_classical_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum) -
     worst = 0.0
     for t in CLASSICAL_TIMES:
         dense = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, ident, t))
-        for lam, p in classical_class_distribution(spec, ident, t).probs.items():
+        for lam, p in classical_class_distribution(spec, ident, t).items():
             worst = max(worst, abs(p - dense[lam]))
     return worst
 
@@ -99,7 +99,7 @@ def check_limiting_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum) ->
     ident = identity_partition(walk.n)
     dense = oracle_mod.limiting_distribution(walk, ident)
     exact = limiting_class_distribution(spec, ident)
-    return max(abs(float(p) - dense[lam]) for lam, p in exact.probs.items())
+    return max(abs(float(p) - dense[lam]) for lam, p in exact.items())
 
 
 def check_transposition_closed_form(n: int) -> CheckResult:
@@ -167,7 +167,7 @@ def check_limiting_table(n: int, spectra: Spectra) -> CheckResult:
         spec = spectra[hook(n, p)]
         if isinstance(spec, ConsistencyError):
             return CheckResult(name="limiting_table", passed=False, message=str(spec))
-        exact = limiting_class_distribution(spec, ident).per_element[ncycle]
+        exact = limiting_class_distribution(spec, ident)[ncycle] / spec.class_sizes[ncycle]
         table = table_ncycle_case(n, p)[1]
         if table != exact:
             return CheckResult(

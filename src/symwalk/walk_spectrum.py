@@ -134,24 +134,6 @@ def spectrum(f: ClassFunction) -> WalkSpectrum:
     return WalkSpectrum(f, records)
 
 
-class ClassDistribution(Frozen):
-    """Probability per conjugacy class: floats after walking for some
-    time, or exact rationals of the limiting distribution."""
-
-    def __init__(self, n: int, probs: dict[Partition, float | Fraction]):
-        vars(self).update(n=n, probs=probs)
-
-    @cached_property
-    def per_element(self) -> dict[Partition, float | Fraction]:
-        """Probability of each single permutation of a class."""
-        return {lam: p / class_size(lam) for lam, p in self.probs.items()}
-
-    @classmethod
-    def of(cls, spec: WalkSpectrum, probs: list[float]) -> "ClassDistribution":
-        """Wrap a list of class probabilities in canonical class order."""
-        return cls(n=spec.n, probs=dict(zip(spec.classes, probs)))
-
-
 def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
     """The nonzero entries of an exact row as floats, and a selector of
     their places for ``itertools.compress``.  A zero entry adds k*x = 0
@@ -295,20 +277,23 @@ def class_amplitude(spec: WalkSpectrum, lam: Partition, mu: Partition, t: float)
     """<c_lam| e^{itH} |c_mu> for class-uniform unit states c."""
     if lam.n != spec.n or mu.n != spec.n:
         raise DomainError("start and target classes must partition the walk's n")
-    return complex(spec.kernel(mu).amplitudes(t)[spec.classes.index(lam)])
+    return spec.kernel(mu).amplitudes(t)[spec.classes.index(lam)]
 
 
-def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
-    """Measurement distribution over classes at time t, started from c_mu."""
-    return ClassDistribution.of(spec, spec.kernel(mu).quantum_probabilities(t))
+def class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> dict[Partition, float]:
+    """Measurement probability of each class at time t, started from c_mu;
+    one permutation of class lam has probability p / |C_lam|."""
+    return dict(zip(spec.classes, spec.kernel(mu).quantum_probabilities(t)))
 
 
-def classical_class_distribution(spec: WalkSpectrum, mu: Partition, t: float) -> ClassDistribution:
+def classical_class_distribution(
+    spec: WalkSpectrum, mu: Partition, t: float
+) -> dict[Partition, float]:
     """Continuous-time random walk M(t) = e^{-tL}, aggregated per class.
 
     Started from the uniform distribution on C_mu.
     """
-    return ClassDistribution.of(spec, spec.kernel(mu).classical_probabilities(t))
+    return dict(zip(spec.classes, spec.kernel(mu).classical_probabilities(t)))
 
 
 def ncycle_amplitude_closed_form(n: int, t: float) -> complex:

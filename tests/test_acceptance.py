@@ -32,6 +32,7 @@ from symwalk.oracle import (
 )
 from symwalk.partitions import (
     Partition,
+    class_size,
     enumerate_partitions,
     hook,
     identity_partition,
@@ -66,7 +67,7 @@ def test_criterion_1_oracle_equivalence():
             for t in times:
                 dense = class_aggregate(walk, evolve_quantum(walk, ident, t))
                 dist = class_distribution(spec, ident, t)
-                for lam, p in dist.probs.items():
+                for lam, p in dist.items():
                     worst = max(worst, abs(p - dense.sums.get(lam, 0.0)))
     elapsed = time.monotonic() - t0
     report(
@@ -93,7 +94,7 @@ def test_criterion_2_sine_closed_form():
     exact_peak = max_ncycle_probability(3) == Fraction(8, 9)
     spec3 = spectrum(transpositions(3))
     peak = class_distribution(spec3, identity_partition(3), math.pi / 3)
-    numeric_peak = abs(peak.probs[Partition((3,))] - 8 / 9) <= 1e-12
+    numeric_peak = abs(peak[Partition((3,))] - 8 / 9) <= 1e-12
     report(
         2,
         worst <= 1e-10 and exact_peak and numeric_peak,
@@ -142,7 +143,7 @@ def test_criterion_5_table_certification():
         ncycle = Partition((n,))
         for p in range(2, n + 1):
             spec = spectrum(ClassFunction.indicator(hook(n, p)))
-            engine = limiting_class_distribution(spec, ident).per_element[ncycle]
+            engine = limiting_class_distribution(spec, ident)[ncycle] / class_size(ncycle)
             table = table_ncycle_case(n, p)[1]
             assert table == engine, f"n={n}, p={p}: table {table} != engine {engine}"
             checked += 1
@@ -158,7 +159,8 @@ def test_criterion_6_transposition_limiting_value():
     for n, p in cases:
         ident = identity_partition(n)
         spec = spectrum(ClassFunction.indicator(hook(n, p)))
-        got = limiting_class_distribution(spec, ident).per_element[Partition((n,))]
+        ncycle = Partition((n,))
+        got = limiting_class_distribution(spec, ident)[ncycle] / class_size(ncycle)
         want = Fraction(comb(2 * n - 2, n - 1), factorial(n) ** 2)
         assert got == want, (n, p)
     report(6, True, f"per-element n-cycle value C(2n-2,n-1)/(n!)^2 exact for {cases}")
@@ -213,13 +215,13 @@ def test_criterion_9_classical_sanity():
     ident = identity_partition(4)
     spec = spectrum(transpositions(4))
     dist = classical_class_distribution(spec, ident, 50.0)
-    uniform_gap = max(abs(per - 1 / 24) for per in dist.per_element.values())
+    uniform_gap = max(abs(p / class_size(lam) - 1 / 24) for lam, p in dist.items())
     walk = build_cayley(4, Partition((2, 1, 1)))
     worst = 0.0
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
         engine = classical_class_distribution(spec, ident, t)
-        for lam, p in engine.probs.items():
+        for lam, p in engine.items():
             worst = max(worst, abs(p - dense[lam]))
     report(
         9,

@@ -405,7 +405,7 @@ def test_import_symwalk_loads_no_engine_until_a_name_is_used():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert len(set(symwalk.__all__)) == len(symwalk.__all__) == 35
+    assert len(set(symwalk.__all__)) == len(symwalk.__all__) == 34
     for name in symwalk.__all__:  # each the same object as in its home submodule
         value = getattr(symwalk, name)
         if isinstance(value, types.ModuleType):

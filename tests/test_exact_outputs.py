@@ -1,7 +1,9 @@
 """Exact CLI outputs pinned by the SHA-256 digest of their stdout.
 
-Character tables, exact limits, n = 30 spectra and the oracle's edge lists
-(every generator at n = 2..6) must stay bit-identical across refactors; a digest here changes only when an exact output does.
+Character tables, exact limits (from the identity and from other starts, and
+one weighted walk), n = 30 spectra and the oracle's edge lists (every generator
+at n = 2..6) must stay bit-identical across refactors; a digest here changes
+only when an exact output does.
 """
 
 import hashlib
@@ -20,6 +22,12 @@ def _argvs():
         yield ("characters", "--n", str(n), "--format", "csv"), str(n)
     for gamma in enumerate_partitions(7)[:-1]:
         yield ("limit", "--n", "7", "--generator", str(gamma)), None
+    # Non-identity starts; 4,3 is odd, so its 3-cycle walk has no A_n row.
+    for gamma, starts in (("2,1,1,1,1,1", ("7", "3,2,1,1")), ("3,1,1,1,1", ("3,3,1", "4,3"))):
+        for mu in starts:
+            yield ("limit", "--n", "7", "--generator", gamma, "--start", mu), None
+    yield ("limit", "--n", "4", "--generator", "2,1,1", "--weight", "1/3",
+           "--generator", "3,1", "--weight", "2"), None
     for gamma in ("30", "7" + ",1" * 23, "2" + ",1" * 28):
         yield ("spectrum", "--n", "30", "--generator", gamma, "--format", "csv"), None
     for n in range(2, 7):
@@ -124,6 +132,16 @@ DIGESTS = {
         "f556e0db01a4f3f0e26839e2a258430622599a013a1610953bf45f36a7baf244",
     "limit --n 7 --generator 2,1,1,1,1,1":
         "f28b835d52fa579b1bc48afae1e0aa60d751c5ff608d5cd263fdfbf8bf34138b",
+    "limit --n 7 --generator 2,1,1,1,1,1 --start 7":
+        "2cd9ae85ebb72841aebbebc79e5be163e512dc3abff0e3bf1a4f4d288a913471",
+    "limit --n 7 --generator 2,1,1,1,1,1 --start 3,2,1,1":
+        "37c306f6fe8b5a6f704a9ecfb99ec44b78d882afb32bb54fa8da040c1246ed79",
+    "limit --n 7 --generator 3,1,1,1,1 --start 3,3,1":
+        "51268fdc114be6ad6628a81fae46c11e4de2c2dc16f2575763ebe2c24a02c661",
+    "limit --n 7 --generator 3,1,1,1,1 --start 4,3":
+        "25eeb0f7938a856a9a5256ba68fbd991de9cea4d3e25832d513edd31b9cf68ae",
+    "limit --n 4 --generator 2,1,1 --weight 1/3 --generator 3,1 --weight 2":
+        "b3bb37f9c68adc370427cd88078a84547d351c0a7a5ff02ddf11a7753ec06bdb",
     "spectrum --n 30 --generator 30 --format csv":
         "32d618ad965f025a428f90bf1b3caee3f678c95756d0f4972f0052c4ef5722e6",
     "spectrum --n 30 --generator 7,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1 --format csv":

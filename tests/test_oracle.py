@@ -15,6 +15,7 @@ from symwalk.errors import (
     DomainError,
     ResourceLimitError,
 )
+from symwalk.limiting import limiting_class_distribution, time_averaged_distribution
 from symwalk.oracle import (
     build_cayley,
     class_aggregate,
@@ -233,7 +234,7 @@ def test_classical_matches_spectral_engine():
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
         dist = classical_class_distribution(spec, ident, t)
-        for lam, p in dist.probs.items():
+        for lam, p in dist.items():
             assert abs(p - dense[lam]) < 1e-9
 
 
@@ -250,7 +251,7 @@ def test_classical_keeps_its_mass_at_large_times(n):
         for t in (1e10, 1e14, 1e17, 1e300, 1e308):
             dense = class_sums(walk, evolve_classical(walk, ident, t))
             assert abs(sum(dense.values()) - 1) < 1e-12
-            for lam, p in classical_class_distribution(spec, ident, t).probs.items():
+            for lam, p in classical_class_distribution(spec, ident, t).items():
                 assert abs(p - dense[lam]) < 1e-9
 
 
@@ -280,7 +281,7 @@ def test_quantum_matches_spectral_engine_all_generators(n):
         for t in times:
             agg = class_aggregate(walk, evolve_quantum(walk, ident, t))
             dist = class_distribution(spec, ident, t)
-            for lam, p in dist.probs.items():
+            for lam, p in dist.items():
                 assert abs(p - agg.sums.get(lam, 0.0)) < 1e-9
 
 
@@ -327,12 +328,33 @@ def test_every_class_start_matches_the_spectral_engine(n):
         for start in enumerate_partitions(n):
             for t, tol in QUANTUM_TOL.items():
                 dense = class_aggregate(walk, evolve_quantum(walk, start, t)).sums
-                for lam, p in class_distribution(spec, start, t).probs.items():
+                for lam, p in class_distribution(spec, start, t).items():
                     assert abs(p - dense[lam]) < tol, (gamma, start, t, lam)
             for t, tol in CLASSICAL_TOL.items():
                 dense = class_sums(walk, evolve_classical(walk, start, t))
-                for lam, p in classical_class_distribution(spec, start, t).probs.items():
+                for lam, p in classical_class_distribution(spec, start, t).items():
                     assert abs(p - dense[lam]) < tol, (gamma, start, t, lam)
+
+
+def test_both_engines_return_one_shape():
+    # A class distribution is a dict in canonical class order, whichever
+    # engine computed it, so the two compare key by key.
+    n, t = 4, 0.7
+    gamma, ident = Partition((2, 1, 1)), identity_partition(n)
+    walk = build_cayley(n, gamma)
+    spec = spectrum(ClassFunction.indicator(gamma))
+    distributions = [
+        class_distribution(spec, ident, t),
+        classical_class_distribution(spec, ident, t),
+        limiting_class_distribution(spec, ident),
+        time_averaged_distribution(spec, ident, 2 * math.pi, 8),
+        class_sums(walk, evolve_classical(walk, ident, t)),
+        limiting_distribution(walk, ident),
+        class_aggregate(walk, evolve_quantum(walk, ident, t)).sums,
+    ]
+    for dist in distributions:
+        assert type(dist) is dict
+        assert list(dist) == enumerate_partitions(n)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))

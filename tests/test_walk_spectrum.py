@@ -128,7 +128,7 @@ def test_class_level_unitarity(n):
     for mu in (identity_partition(n), Partition((n,))):
         for t in (0.0, 0.5, 2.0, 5.9):
             dist = class_distribution(spec, mu, t)
-            assert abs(sum(dist.probs.values()) - 1) < 1e-10
+            assert abs(sum(dist.values()) - 1) < 1e-10
 
 
 def test_periodicity():
@@ -143,14 +143,14 @@ def test_periodicity():
 def test_distribution_t0_is_start_indicator():
     spec = spectrum(transpositions(4))
     dist = class_distribution(spec, identity_partition(4), 0.0)
-    assert abs(dist.probs[identity_partition(4)] - 1) < 1e-12
+    assert abs(dist[identity_partition(4)] - 1) < 1e-12
 
 
 def test_distribution_s3_peak():
     spec = spectrum(transpositions(3))
     dist = class_distribution(spec, identity_partition(3), math.pi / 3)
-    assert abs(dist.probs[Partition((3,))] - 8 / 9) < 1e-12
-    assert abs(dist.per_element[Partition((3,))] - 4 / 9) < 1e-12
+    assert abs(dist[Partition((3,))] - 8 / 9) < 1e-12
+    assert abs(dist[Partition((3,))] / class_size(Partition((3,))) - 4 / 9) < 1e-12
 
 
 def test_distribution_matches_oracle_n4():
@@ -158,7 +158,7 @@ def test_distribution_matches_oracle_n4():
     spec = spectrum(transpositions(4))
     dense = class_aggregate(walk, evolve_quantum(walk, identity_partition(4), 0.7))
     dist = class_distribution(spec, identity_partition(4), 0.7)
-    for lam, p in dist.probs.items():
+    for lam, p in dist.items():
         assert abs(p - dense.sums[lam]) < 1e-9
 
 
@@ -168,10 +168,10 @@ def test_even_generator_leaves_odd_classes_exactly_empty(gamma):
     n = gamma.n
     spec = spectrum(ClassFunction.indicator(gamma))
     dist = class_distribution(spec, identity_partition(n), 0.9)
-    for lam, p in dist.probs.items():
+    for lam, p in dist.items():
         if (n - len(lam.parts)) % 2 == 1:
             assert p == 0.0
-    assert abs(sum(dist.probs.values()) - 1) < 1e-10
+    assert abs(sum(dist.values()) - 1) < 1e-10
 
 
 def test_closed_form_examples():
@@ -208,11 +208,11 @@ def test_classical_t0_and_uniform_limit():
     spec = spectrum(transpositions(4))
     ident = identity_partition(4)
     d0 = classical_class_distribution(spec, ident, 0.0)
-    assert abs(d0.probs[ident] - 1) < 1e-12
+    assert abs(d0[ident] - 1) < 1e-12
     dinf = classical_class_distribution(spec, ident, 50.0)
-    for lam, per in dinf.per_element.items():
-        assert abs(per - 1 / 24) < 1e-8
-    assert abs(sum(dinf.probs.values()) - 1) < 1e-10
+    for lam, p in dinf.items():
+        assert abs(p / class_size(lam) - 1 / 24) < 1e-8
+    assert abs(sum(dinf.values()) - 1) < 1e-10
 
 
 def test_classical_matches_dense_exponential():
@@ -222,7 +222,7 @@ def test_classical_matches_dense_exponential():
     for t in (0.1, 0.5, 2.0):
         dense = class_sums(walk, evolve_classical(walk, ident, t))
         dist = classical_class_distribution(spec, ident, t)
-        for lam, p in dist.probs.items():
+        for lam, p in dist.items():
             assert abs(p - dense[lam]) < 1e-9
 
 
@@ -275,11 +275,11 @@ def test_kernel_matches_per_pair_phase_sum_n14():
                 pref = math.sqrt(Fraction(class_size(lam) * class_size(mu), nfact**2))
                 amp = pref * _grouped_phase_sum(
                     spec, table, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
-                assert abs(quantum.probs[lam] - abs(amp) ** 2) <= 1e-15
+                assert abs(quantum[lam] - abs(amp) ** 2) <= 1e-15
                 heat = _grouped_phase_sum(
                     spec, table, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
                 want = max(class_size(lam) / nfact * heat, 0.0)
-                assert abs(classical.probs[lam] - want) <= 1e-15
+                assert abs(classical[lam] - want) <= 1e-15
 
 
 def test_ncycle_amplitude_matches_closed_form_n14():
@@ -308,7 +308,7 @@ def test_overflowing_phase_is_refused():
         classical_class_distribution(spec, identity_partition(4), -1.0)
     # Decay to the stationary law, not NaN, when t*(d - E) overflows.
     far = classical_class_distribution(spec, identity_partition(4), 1e308)
-    for lam, p in far.probs.items():
+    for lam, p in far.items():
         assert p == pytest.approx(class_size(lam) / 24, abs=1e-15)
 
 
