@@ -10,7 +10,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "characters": ("CharacterTable", "character", "character_hook_pcycle", "character_table",
+    "characters": ("character", "character_hook_pcycle", "character_table",
                    "character_transposition", "dimension"),
     "errors": ("ConsistencyError", "DomainError", "ResourceLimitError", "SupportMismatchError",
                "SymwalkError"),

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple
 
 from .caps import CHARACTER_TABLE_CAP, check_cap
 from .errors import ConsistencyError, DomainError
-from .partitions import Partition, class_size, enumerate_partitions, transpose
+from .partitions import Partition, enumerate_partitions, transpose
 
 
 def binom(a: int, b: int) -> int:
@@ -129,22 +128,11 @@ def character_hook_pcycle(k: int, p: int, n: int) -> int:
     return binom(n - p - 1, k - p - 1) + sign * binom(n - p - 1, k - 1)
 
 
-class CharacterTable(NamedTuple):
-    """Complete character table of S_n in canonical partition order,
-    column-major: ``columns[j][i]`` is chi_nu(lam) for lam = classes[j]
-    and nu = classes[i], since irreps and classes share one list.
-    """
-
-    n: int
-    classes: tuple[Partition, ...]
-    columns: tuple[tuple[int, ...], ...]
-
-    def column(self, lam: Partition) -> tuple[int, ...]:
-        return self.columns[self.classes.index(lam)]
-
-
-def character_table(n: int) -> CharacterTable:
-    """Materialize the full p(n) x p(n) table (default cap n <= 14).
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The full p(n) x p(n) table (default cap n <= 14) as its columns:
+    ``columns[j][i]`` is chi_nu(lam) for lam and nu the j-th and i-th
+    partitions of n in canonical order, since irreps and classes share
+    one list.  At n = 0 it is ``((1,),)``.
 
     The columns fold smallest parts first, depth-first: a prefix is a
     multiset of a class's smallest parts, multiplied out once and shared
@@ -159,9 +147,9 @@ def character_table(n: int) -> CharacterTable:
     last part of a class is added straight into its column.
     """
     check_cap(n, CHARACTER_TABLE_CAP, "character table")
-    parts = tuple(enumerate_partitions(n))
+    parts = enumerate_partitions(n)
     if not n:
-        return CharacterTable(n=n, classes=parts, columns=((1,),))
+        return ((1,),)
     row = {_abacus(nu): i for i, nu in enumerate(parts)}
     position = {lam.parts: k for k, lam in enumerate(parts)}
     columns: list[tuple[int, ...]] = [()] * len(parts)
@@ -192,25 +180,4 @@ def character_table(n: int) -> CharacterTable:
         columns[position[(remaining,) + prefix]] = tuple(column)
 
     extend({(1 << n) - 1: 1}, (), n)
-    return CharacterTable(n=n, classes=parts, columns=tuple(columns))
-
-
-def check_orthogonality(table: CharacterTable) -> None:
-    """Raise ConsistencyError unless the column relation
-    |C_lam| sum_nu chi_nu(lam) chi_nu(mu) = n! [lam = mu] holds.
-
-    The row relation sum_lam |C_lam| chi_nu(lam) chi_eta(lam) = n! [nu = eta]
-    follows: X = (chi_nu(lam)) is square and X^T X = n! D^-1 (D the class
-    sizes), so D X^T / n! is the inverse of X and X D X^T = n! I.
-    """
-    nfact = factorial(table.n)
-    sizes = [class_size(lam) for lam in table.classes]
-    cols = table.columns
-    for a, ca in enumerate(cols):
-        for b in range(a, len(cols)):
-            dot = sum(x * y for x, y in zip(ca, cols[b]))
-            want = nfact if a == b else 0
-            if sizes[a] * dot != want:
-                raise ConsistencyError(
-                    f"column orthogonality failed at {table.classes[a]}, {table.classes[b]}"
-                )
+    return tuple(columns)

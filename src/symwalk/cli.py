@@ -34,7 +34,7 @@ from .limiting import (
     time_averaged_distribution,
     tv_distance,
 )
-from .partitions import Partition, class_size, identity_partition
+from .partitions import Partition, class_size, enumerate_partitions, identity_partition
 from .walk_spectrum import (
     ClassFunction,
     WalkSpectrum,
@@ -279,17 +279,17 @@ def _json(payload) -> str:
 
 
 def _cmd_characters(cfg: argparse.Namespace) -> int:
-    table = character_table(cfg.n)
-    rows = list(zip(*table.columns))  # one row per irrep, in the order of the classes
+    rows = list(zip(*character_table(cfg.n)))  # one row per irrep, in the order of the classes
+    classes = enumerate_partitions(cfg.n)  # after the table, so its cap is the one named
     if cfg.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + [str(lam) for lam in table.classes])
-        writer.writerows([str(nu), *row] for nu, row in zip(table.classes, rows))
+        writer.writerow([""] + [str(lam) for lam in classes])
+        writer.writerows([str(nu), *row] for nu, row in zip(classes, rows))
         _emit(cfg, out.getvalue())
         return 0
     # Integers as decimal strings so consumers without bigints survive.
-    parts = [list(lam.parts) for lam in table.classes]
+    parts = [list(lam.parts) for lam in classes]
     _emit(cfg, _json({"n": cfg.n, "classes": parts, "reps": parts,
                       "entries": [[str(v) for v in row] for row in rows]}))
     return 0

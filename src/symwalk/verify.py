@@ -19,12 +19,11 @@ from .characters import (
     character_hook_pcycle,
     character_table,
     character_transposition,
-    check_orthogonality,
     dimension,
 )
 from .errors import ConsistencyError, DomainError
 from .limiting import limiting_class_distribution, table_ncycle_case
-from .partitions import Partition, enumerate_partitions, hook, identity_partition
+from .partitions import Partition, class_size, enumerate_partitions, hook, identity_partition
 from .walk_spectrum import (
     ClassFunction,
     WalkSpectrum,
@@ -127,10 +126,22 @@ def check_hook_pcycle_characters(n: int) -> CheckResult:
 
 
 def check_orthogonality_relations(n: int) -> CheckResult:
-    try:
-        check_orthogonality(character_table(n))
-    except ConsistencyError as exc:
-        return CheckResult(name="orthogonality", passed=False, message=str(exc))
+    """The column relation |C_lam| sum_nu chi_nu(lam) chi_nu(mu) = n! [lam = mu]
+    holds on the abacus table (exact); a failure names the first pair.
+
+    The row relation sum_lam |C_lam| chi_nu(lam) chi_eta(lam) = n! [nu = eta]
+    follows: X = (chi_nu(lam)) is square and X^T X = n! D^-1 (D the class
+    sizes), so D X^T / n! is the inverse of X and X D X^T = n! I.
+    """
+    columns = character_table(n)  # checks its cap before the enumeration below
+    classes = enumerate_partitions(n)
+    nfact = math.factorial(n)
+    for a, ca in enumerate(columns):
+        size = class_size(classes[a])
+        for b in range(a, len(columns)):
+            if size * sum(x * y for x, y in zip(ca, columns[b])) != (nfact if a == b else 0):
+                message = f"column orthogonality failed at {classes[a]}, {classes[b]}"
+                return CheckResult(name="orthogonality", passed=False, message=message)
     return CheckResult(name="orthogonality", passed=True)
 
 

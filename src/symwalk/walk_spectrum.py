@@ -166,15 +166,15 @@ class WalkKernel:
     def __init__(self, spec: WalkSpectrum, mu: Partition):
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
-        table = character_table(spec.n)  # the one engine that needs every column
+        columns = character_table(spec.n)  # A and B have a row per class: every column
         slots: dict[Fraction, int] = {}  # w -> its column, in first-seen order
         where = [slots.setdefault(abs(rec.eigenvalue), len(slots)) for rec in spec.records]
-        col_mu = table.column(mu)
+        col_mu = columns[spec.classes.index(mu)]
         # Irreps with chi_nu(mu) = 0 add nothing to any entry.
         terms = [(i, where[i], c, -c if rec.eigenvalue < 0 else c)
                  for i, (rec, c) in enumerate(zip(spec.records, col_mu)) if c]
         self.even, self.odd = [], []  # A and B
-        for col in table.columns:
+        for col in columns:
             a, b = [0] * len(slots), [0] * len(slots)
             for i, w, c, sc in terms:
                 a[w] += col[i] * c

@@ -60,13 +60,13 @@ def kernel_matrix(spec, mu: Partition) -> tuple[list[Fraction], list[list[int]]]
     character table: K[lam][G] = sum_{nu in G} chi_nu(lam) chi_nu(mu), with
     G running over the irreps sharing one exact eigenvalue E_G, in the
     canonical order of each group's first member."""
-    table = character_table(spec.n)
-    col_mu = table.column(mu)
+    columns = character_table(spec.n)
+    col_mu = columns[spec.classes.index(mu)]
     groups: dict[Fraction, list[int]] = {}
     for i, rec in enumerate(spec.records):
         groups.setdefault(rec.eigenvalue, []).append(i)
     return list(groups), [[sum(col[i] * col_mu[i] for i in members) for members in groups.values()]
-                          for col in table.columns]
+                          for col in columns]
 
 
 def numpy_kernel_reference(kernel, t: float):

@@ -14,9 +14,7 @@ import pytest
 from symwalk.characters import (
     character,
     character_hook_pcycle,
-    character_table,
     character_transposition,
-    check_orthogonality,
 )
 from symwalk.limiting import (
     limiting_class_distribution,
@@ -37,7 +35,7 @@ from symwalk.partitions import (
     hook,
     identity_partition,
 )
-from symwalk.verify import generator_classes
+from symwalk.verify import check_orthogonality_relations, generator_classes
 from symwalk.walk_spectrum import (
     ClassFunction,
     class_amplitude,
@@ -180,7 +178,7 @@ def test_criterion_7_character_identities():
             pclass = hook(n, p)
             for k in range(1, n + 1):
                 assert character_hook_pcycle(k, p, n) == character(hook(n, k), pclass)
-        check_orthogonality(character_table(n))
+        assert check_orthogonality_relations(n).passed
     report(7, True, "closed forms match recursion and column orthogonality holds, n <= 10")
 
 

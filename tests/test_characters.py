@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+import symwalk
 from symwalk import characters
 from symwalk.characters import (
     binom,
@@ -13,7 +14,6 @@ from symwalk.characters import (
     character_hook_pcycle,
     character_table,
     character_transposition,
-    check_orthogonality,
     dimension,
 )
 from symwalk.cli import main
@@ -25,6 +25,7 @@ from symwalk.partitions import (
     hook,
     identity_partition,
 )
+from symwalk.verify import check_orthogonality_relations
 
 
 def count_fixed_points(lam):
@@ -59,7 +60,7 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 @pytest.mark.parametrize("n", range(0, 15))
 def test_table_equals_the_reference_recursion(n):
     parts = enumerate_partitions(n)
-    assert character_table(n).columns == tuple(
+    assert character_table(n) == tuple(
         tuple(_mn(nu.parts, lam.parts) for nu in parts) for lam in parts
     )
 
@@ -102,18 +103,16 @@ def test_column_folds_smallest_parts_first(monkeypatch, lam):
 
 
 def test_every_column_equals_the_table_n14():
-    table = character_table(14)
-    for lam in table.classes:
-        assert character_column(lam) == table.column(lam)
+    for lam, column in zip(enumerate_partitions(14), character_table(14)):
+        assert character_column(lam) == column
 
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_single_characters_and_columns_equal_the_table(n):
-    table = character_table(n)
-    for lam in table.classes:
-        column = table.column(lam)
+    classes = enumerate_partitions(n)
+    for lam, column in zip(classes, character_table(n)):
         assert character_column(lam) == column
-        for nu, value in zip(table.classes, column):
+        for nu, value in zip(classes, column):
             assert character(nu, lam) == value
 
 
@@ -199,15 +198,22 @@ def test_standard_representation_vs_fixed_point_oracle():
 
 def test_s3_values():
     assert character(Partition((2, 1)), Partition((3,))) == -1
-    table = character_table(3)
-    assert table.classes == (Partition((3,)), Partition((2, 1)), Partition((1, 1, 1)))
+    assert enumerate_partitions(3) == [Partition((3,)), Partition((2, 1)), Partition((1, 1, 1))]
     # canonical (descending) column order: (3), (2,1), (1,1,1)
-    assert table.columns == ((1, -1, 1), (1, 0, -1), (1, 2, 1))
+    assert character_table(3) == ((1, -1, 1), (1, 0, -1), (1, 2, 1))
+
+
+def test_a_table_is_its_columns():
+    # One shape: the p(n) columns in canonical class order, no wrapper type.
+    table = character_table(4)
+    assert type(table) is tuple and len(table) == 5
+    assert all(type(column) is tuple for column in table)
+    assert table == tuple(character_column(lam) for lam in enumerate_partitions(4))
+    assert "CharacterTable" not in symwalk.__all__
 
 
 def test_n1_table():
-    table = character_table(1)
-    assert table.columns == ((1,),)
+    assert character_table(1) == ((1,),)
 
 
 def test_size_mismatch():
@@ -244,25 +250,23 @@ def test_a_single_character_is_its_column_entry_under_the_column_cap(monkeypatch
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orthogonality(n):
-    check_orthogonality(character_table(n))
+    assert check_orthogonality_relations(n).passed
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_column_orthogonality_fact(n):
     # |C_lam| * sum_nu chi_nu(lam)^2 = n!
-    table = character_table(n)
-    for lam in table.classes:
-        col = table.column(lam)
+    for lam, col in zip(enumerate_partitions(n), character_table(n)):
         assert class_size(lam) * sum(v * v for v in col) == factorial(n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_row_orthogonality_fact(n):
-    # sum_lam |C_lam| chi_nu(lam) chi_eta(lam) = n! [nu = eta]; check_orthogonality
-    # checks only the columns, from which this follows for a square table.
-    table = character_table(n)
-    sizes = [class_size(lam) for lam in table.classes]
-    rows = list(zip(*table.columns))
+    # sum_lam |C_lam| chi_nu(lam) chi_eta(lam) = n! [nu = eta]; verify's
+    # orthogonality check reads only the columns, from which this follows
+    # for a square table.
+    sizes = [class_size(lam) for lam in enumerate_partitions(n)]
+    rows = list(zip(*character_table(n)))
     for a, row_a in enumerate(rows):
         for b, row_b in enumerate(rows):
             dot = sum(s * x * y for s, x, y in zip(sizes, row_a, row_b))

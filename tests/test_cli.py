@@ -405,7 +405,7 @@ def test_import_symwalk_loads_no_engine_until_a_name_is_used():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert len(set(symwalk.__all__)) == len(symwalk.__all__) == 34
+    assert len(set(symwalk.__all__)) == len(symwalk.__all__) == 33
     for name in symwalk.__all__:  # each the same object as in its home submodule
         value = getattr(symwalk, name)
         if isinstance(value, types.ModuleType):
@@ -557,6 +557,14 @@ def test_table_backed_commands_keep_the_table_cap(capsys):
                              ",".join(["2"] + ["1"] * 13))
     _assert_json_error(code, out, err, 3)
     assert json.loads(err)["error"] == "character table for n=15 exceeds the cap of 14"
+
+
+@pytest.mark.parametrize("n", [15, 31])
+def test_characters_names_the_table_cap_not_the_partition_cap(capsys, n):
+    # Past both caps (n = 31 > 30), the table's own refusal must come first.
+    code, out, err = run_cli(capsys, "characters", "--n", str(n))
+    _assert_json_error(code, out, err, 3)
+    assert json.loads(err)["error"] == f"character table for n={n} exceeds the cap of 14"
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,11 +286,11 @@ def test_kernel_limit_matches_per_pair_grouping_n14():
     spec = spectrum(transpositions(n))
     mu = identity_partition(n)
     exact = limiting_class_distribution(spec, mu)
-    table = character_table(n)
+    column = dict(zip(spec.classes, character_table(n)))
     nfact = factorial(n)
     for lam in spec.classes:
         coeff = {}
-        for rec, x, y in zip(spec.records, table.column(lam), table.column(mu)):
+        for rec, x, y in zip(spec.records, column[lam], column[mu]):
             coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + x * y
         want = Fraction(class_size(lam) * class_size(mu) * sum(c * c for c in coeff.values()),
                         nfact**2)

@@ -146,10 +146,16 @@ def _offset_at(target, offset):
 
 def _flip_one_entry(original):
     def flipped(n):
-        table = original(n)
-        first, *rest = table.columns
-        return table._replace(columns=((-first[0], *first[1:]), *rest))
+        first, *rest = original(n)
+        return ((-first[0], *first[1:]), *rest)
     return flipped
+
+
+def test_orthogonality_names_the_first_failing_pair(monkeypatch):
+    monkeypatch.setattr(verify, "character_table", _flip_one_entry(verify.character_table))
+    result = verify.check_orthogonality_relations(5)
+    assert (result.name, result.passed) == ("orthogonality", False)
+    assert result.message == "column orthogonality failed at 5, 4,1"
 
 
 def _offset_ncycle_column(original):

@@ -252,11 +252,11 @@ def test_integrality_assertion_covers_unions_of_classes(monkeypatch):
         spectrum(f)
 
 
-def _grouped_phase_sum(spec, table, lam, mu, phase):
+def _grouped_phase_sum(spec, column, lam, mu, phase):
     """sum_nu phase(E_nu) chi_nu(lam) chi_nu(mu) for one (lam, mu) pair,
     with the exact integer coefficient of each distinct E_nu summed first."""
     coeff = {}
-    for rec, x, y in zip(spec.records, table.column(lam), table.column(mu)):
+    for rec, x, y in zip(spec.records, column[lam], column[mu]):
         coeff[rec.eigenvalue] = coeff.get(rec.eigenvalue, 0) + x * y
     return sum(phase(ev) * float(c) for ev, c in coeff.items() if c)
 
@@ -264,7 +264,7 @@ def _grouped_phase_sum(spec, table, lam, mu, phase):
 def test_kernel_matches_per_pair_phase_sum_n14():
     n = 14
     spec = spectrum(transpositions(n))
-    table = character_table(n)
+    column = dict(zip(spec.classes, character_table(n)))
     nfact = factorial(n)
     d = spec.f.degree()
     for mu in (identity_partition(n), Partition((3, 3, 3, 3, 1, 1))):
@@ -274,10 +274,10 @@ def test_kernel_matches_per_pair_phase_sum_n14():
             for lam in spec.classes:
                 pref = math.sqrt(Fraction(class_size(lam) * class_size(mu), nfact**2))
                 amp = pref * _grouped_phase_sum(
-                    spec, table, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
+                    spec, column, lam, mu, lambda ev: cmath.exp(1j * t * float(ev)))
                 assert abs(quantum[lam] - abs(amp) ** 2) <= 1e-15
                 heat = _grouped_phase_sum(
-                    spec, table, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
+                    spec, column, lam, mu, lambda ev: math.exp(-t * float(d - ev)))
                 want = max(class_size(lam) / nfact * heat, 0.0)
                 assert abs(classical[lam] - want) <= 1e-15
 
