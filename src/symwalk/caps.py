@@ -19,9 +19,9 @@ ORACLE_WHAT = "dense Cayley graph"  # the oracle refusal's noun, kept byte-ident
 # Largest n whose n-cycle table prints; checked before rows that cost (n!)^2.
 TABLE_CAP = 859
 
-# Most time points one invocation evaluates (``--t-grid`` steps,
-# ``--average`` samples and ``verify --t-samples``).  It bounds run time
-# and output size, not n, so SYMWALK_MAX_N does not override it.
+# Most time points one invocation evaluates (``--t-grid`` steps and
+# ``verify --t-samples``).  It bounds run time and output size, not n,
+# so SYMWALK_MAX_N does not override it.
 TIME_POINTS_CAP = 10_000
 
 

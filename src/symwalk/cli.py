@@ -144,8 +144,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")
     add_common(p, generator=True, start=True)
-    p.add_argument("--average", default=None, metavar="T,SAMPLES",
-                   help="also report a numeric time average for cross-checking")
+    p.add_argument("--average", type=_parse_time, default=None, metavar="T",
+                   help="also report the exact average over [0, T] and its gap to the limit")
 
     p = sub.add_parser("table", help="closed-form n-cycle limiting probabilities, all p")
     add_common(p)
@@ -217,15 +217,6 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError("--t-grid needs at least one step")
         check_time_points(steps, "--t-grid")
         args.t_grid = (lo, hi, steps)
-
-    if getattr(args, "average", None) is not None:
-        try:
-            horizon, samples = args.average.split(",")
-            horizon, samples = _parse_time(horizon), int(samples)
-        except ValueError:
-            raise UsageError("--average must be T,SAMPLES") from None
-        check_time_points(samples, "--average")
-        args.average = (horizon, samples)
     return args
 
 
@@ -396,14 +387,10 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
         "tv": tv,
     }
     if cfg.average is not None:
-        horizon, samples = cfg.average
-        avg = time_averaged_distribution(spec, cfg.start, horizon, samples)
+        avg = time_averaged_distribution(spec, cfg.start, cfg.average)
         payload["time_average"] = {
-            "horizon": horizon,
-            "samples": samples,
-            "max_abs_gap": max(
-                abs(avg[lam] - float(p)) for lam, p in exact.items()
-            ),
+            "horizon": cfg.average,
+            "max_abs_gap": max(abs(avg[lam] - float(p)) for lam, p in exact.items()),
         }
     _emit(cfg, _json(payload))
     return 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
 from typing import Literal, NamedTuple
 
 from .errors import ConsistencyError, DomainError, SupportMismatchError
@@ -117,21 +116,9 @@ def tv_distance(probs: dict[Partition, Fraction], support: Support = "symmetric_
     return sum((abs(p - Fraction(sizes[lam], order)) for lam, p in probs.items()), Fraction(0)) / 2
 
 
-def time_averaged_distribution(
-    spec: WalkSpectrum, mu: Partition, horizon: float, samples: int
-) -> dict[Partition, float]:
-    """Numeric quadrature of (1/T) integral_0^T P_t dt by the midpoint rule.
-
-    Converges to ``limiting_class_distribution`` as the horizon and the
-    sample count grow; for integer eigenvalues, T = 2*pi is already the
-    full period.
-    """
-    if horizon <= 0:
-        raise DomainError("averaging horizon must be positive")
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    kernel = spec.kernel(mu)
-    acc = [0.0] * len(spec.classes)
-    for j in range(samples):
-        acc = list(map(add, acc, kernel.quantum_probabilities((j + 0.5) * horizon / samples)))
-    return dict(zip(spec.classes, [a / samples for a in acc]))
+def time_averaged_distribution(spec: WalkSpectrum, mu: Partition,
+                               horizon: float) -> dict[Partition, float]:
+    """The class distribution from c_mu averaged over [0, T], in closed form
+    (``WalkKernel.averaged_probabilities``).  At T = 2*pi, the period of an
+    integer spectrum, it equals ``limiting_class_distribution`` to rounding."""
+    return dict(zip(spec.classes, spec.kernel(mu).averaged_probabilities(horizon)))

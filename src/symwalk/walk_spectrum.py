@@ -157,6 +157,8 @@ class WalkKernel:
         quantum     |pref_lam * (sum_w A[w] cos(tw) + i sum_w B[w] sin(tw))|^2
         classical   |C_lam|/n! * sum_w A[w] c_w + B[w] s_w  (see ``_folded``)
         limit       |C_lam||C_mu|/(n!)^2 * sum_w (A[w]^2 + B[w]^2)/2
+        average     pref_lam^2 * sum_{u,v} (A[u]A[v] S+[u][v] + B[u]B[v] S-[u][v])
+                    over [0, T]  (see ``averaged_probabilities``)
 
     Folding happens in exact integers before any float appears, so an
     algebraically exact cancellation (a zero entry) stays exact in
@@ -265,6 +267,28 @@ class WalkKernel:
                                [(p - q) / 2 for pair, p, q in zip(f.paired, x, y) if pair],
                                f.paired_rows)
         return [0.0 if m < 0.0 else m for m in map(mul, f.weights, map(add, even, odd))]
+
+    def averaged_probabilities(self, horizon: float) -> list[float]:
+        """``quantum_probabilities`` averaged over [0, T], exact to rounding:
+        cos(tu)cos(tv) and sin(tu)sin(tv) average to S+-[u][v] = (S(u - v)
+        +- S(u + v))/2, with S(x) = sin(xT)/(xT) and S(0) = 1."""
+        f = self._folded
+        if not horizon > 0:
+            raise DomainError("averaging horizon must be positive")
+        if not math.isfinite(horizon * (2 * f.max_freq)):  # u + v reaches 2 max |E|
+            raise DomainError(f"horizon {horizon!r} overflows the phase T*E")
+
+        def sinc(x: float) -> float:
+            y = x * horizon
+            return math.sin(y) / y if y else 1.0
+
+        def form(rows, freqs, sign) -> list[float]:
+            pairs = [[(sinc(u - v) + sign * sinc(u + v)) / 2 for v in freqs] for u in freqs]
+            return [sum(x * sum(map(mul, vals, compress(row, at)))
+                        for x, row in zip(vals, compress(pairs, at))) for vals, at in rows]
+
+        even, odd = form(f.even_rows, f.cos_freqs, 1), form(f.odd_rows, f.sin_freqs, -1)
+        return [max(0.0, p * p * (a + b)) for p, a, b in zip(f.prefactors, even, odd)]
 
     def limiting_sums(self) -> list[int]:
         """sum_E (sum_{nu : E_nu = E} chi_nu(lam) chi_nu(mu))^2 per class lam,

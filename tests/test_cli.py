@@ -260,12 +260,13 @@ def test_module_entry_point():
 
 
 def test_limit_with_numeric_average(capsys):
+    # Over one full period the closed-form average is the limit to rounding.
     code, out, _ = run_cli(
-        capsys, "limit", "--n", "3", "--generator", "2,1",
-        "--average", "6.283185307179586,512",
+        capsys, "limit", "--n", "3", "--generator", "2,1", "--average", "6.283185307179586",
     )
-    payload = json.loads(out)
-    assert payload["time_average"]["max_abs_gap"] < 1e-6
+    average = json.loads(out)["time_average"]
+    assert code == 0 and list(average) == ["horizon", "max_abs_gap"]
+    assert average["horizon"] == 2 * math.pi and average["max_abs_gap"] <= 1e-15
 
 
 def _assert_json_error(code, out, err, want_code):
@@ -283,7 +284,7 @@ def _assert_json_error(code, out, err, want_code):
     ("amplitude", "--n", "4", "--generator", "2,1,1", "--target", "4", "--t", "-inf"),
     ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "0,inf,2"),
     ("distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "nan,1,2"),
-    ("limit", "--n", "4", "--generator", "2,1,1", "--average", "inf,4"),
+    ("limit", "--n", "4", "--generator", "2,1,1", "--average", "inf"),
     # The grid's last point overflows to inf although both ends are finite.
     ("distribution", "--n", "3", "--generator", "2,1", "--t-grid", "0,1e308,3", "--classical"),
 ])
@@ -371,7 +372,7 @@ def test_verify_refuses_n_without_a_walk(capsys, n):
 # Every command but verify and oracle, which evaluate the dense n!-vertex graph.
 NUMPY_FREE_ARGVS = (
     ["limit", "--n", "4", "--generator", "2,1,1"],
-    ["limit", "--n", "4", "--generator", "2,1,1", "--average", "6.283185307179586,16"],
+    ["limit", "--n", "4", "--generator", "2,1,1", "--average", "6.283185307179586"],
     ["table", "--n", "4"],
     ["spectrum", "--n", "4", "--generator", "3,1"],
     ["characters", "--n", "4"],
@@ -461,6 +462,8 @@ def test_symwalk_max_n_overrides_the_oracle_cap(capsys, monkeypatch):
     ("distribution", "--n", "3", "--generator", "2,1", "--t", "0.5", "--format", "csv"),
     ("amplitude", "--n", "3", "--generator", "2,1", "--target", "3", "--t", "0.5",
      "--format", "json"),
+    # --average takes the horizon alone; its old T,SAMPLES form is refused.
+    ("limit", "--n", "3", "--generator", "2,1", "--average", "6.283185307179586,512"),
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     _assert_json_error(*run_cli(capsys, *argv), 1)
@@ -471,7 +474,7 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     ("distribution", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--t", "1"),
     ("amplitude", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--target", "3",
      "--t", "1"),
-    ("limit", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--average", "6.3,8"),
+    ("limit", "--n", "3", "--generator", "2,1", "--weight", "1e400", "--average", "6.3"),
     ("oracle", "--n", "3", "--generator", "2,1", "--t", "1e308"),
 ])
 def test_values_past_the_float_range_are_refused(capsys, argv):
@@ -628,10 +631,10 @@ def _transposition_walk(n):
     (None, lambda: ncycle_amplitude_closed_form(1, 0.7), DomainError, "closed form needs n >= 2"),
     (None, lambda: hook(3, 4), DomainError, "hook needs 1 <= k <= n, got k=4, n=3"),
     (None, lambda: enumerate_partitions(-1), DomainError, "n must be nonnegative"),
-    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "0,4"]),
+    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "0"]),
      DomainError, "averaging horizon must be positive"),
-    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "6.28,0"]),
-     DomainError, "need at least one sample"),
+    (None, lambda: run(["limit", "--n", "4", "--generator", "2,1,1", "--average", "1e308"]),
+     DomainError, "horizon 1e+308 overflows the phase T*E"),
     (None, lambda: run(["oracle", "--n", "4", "--generator", "2,1,1", "--t=-1", "--classical"]),
      DomainError, "classical walk time must be nonnegative"),
 ])

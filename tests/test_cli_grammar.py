@@ -22,7 +22,7 @@ TIMES = (("0", "0.7", "3.1", "-0.5", "1e17", "1e300", "1e308", "-1e308"),
 WEIGHTS = (("1", "1/3", "2", "0", "1e400"), ("-1", "1/0", "nan", "x"))
 GRIDS = (("1", "5", "0,1,3", "1,0,2", "0,1e308,2", "0,1e308,3"),
          ("0,inf,2", "nan,1,2", "0,1,0", "0,1,10001", "10001", "0,1", "a,b,c"))
-AVERAGES = (("6.28,16", "6.28,10000"), ("6.28,10001", "inf,4", "0,4", "6.28,0", "6.28", "x,y"))
+AVERAGES = (("6.28", "0.5", "7.3", "1e-300"), ("6.28,16", "inf", "nan", "0", "-1", "1e308", "x"))
 SAMPLES = (("1", "3"), ("0", "-2", "10001", "20000"))
 MALFORMED = ("", "2,x", "1,2", "0", "-1", "2,,1")
 EXACT = re.compile(r"-?\d+(/\d+)?")

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -26,7 +27,7 @@ from symwalk.partitions import (
 from symwalk.verify import generator_classes
 from symwalk.walk_spectrum import ClassFunction, WalkKernel, spectrum
 
-from conftest import numpy_kernel_reference, transpositions
+from conftest import kernel_matrix, transpositions
 
 
 def hook_ratio(n, k, gamma_spec):
@@ -232,41 +233,95 @@ def test_tv_support_mismatch():
         tv_distance(exact, "alternating_group")
 
 
+def _period_gap(spec, mu, limit):
+    """Largest gap between the closed-form average over [0, 2*pi], one full
+    period of an integer spectrum, and the exact limit ``limit``."""
+    avg = time_averaged_distribution(spec, mu, 2 * math.pi)
+    return max(abs(avg[lam] - float(p)) for lam, p in limit.items())
+
+
 def test_time_average_converges_to_exact():
-    spec = spectrum(transpositions(4))
-    ident = identity_partition(4)
-    exact = limiting_class_distribution(spec, ident)
-    avg = time_averaged_distribution(spec, ident, 2 * math.pi, 4096)
-    for lam, p in exact.items():
-        assert abs(avg[lam] - float(p)) < 1e-4
+    # Every generator class at n <= 8 and every set of classes at n <= 5,
+    # from the identity and from the n-cycle class; the worst gap is 1.1e-16.
+    walks = [ClassFunction.indicator(gamma) for n in range(2, 9) for gamma in generator_classes(n)]
+    for n in (3, 4, 5):
+        classes = generator_classes(n)
+        walks += [ClassFunction(n, dict.fromkeys(gens, 1))
+                  for size in range(2, len(classes) + 1) for gens in combinations(classes, size)]
+    for f in walks:
+        spec = spectrum(f)
+        for mu in (identity_partition(f.n), Partition((f.n,))):
+            assert _period_gap(spec, mu, limiting_class_distribution(spec, mu)) <= 1e-15, (f, mu)
+
+
+def test_a_perturbed_kernel_entry_fails_the_period_check():
+    # Each nonzero-frequency entry of A and B, moved by one, moves the
+    # average of its class by pref^2 * (2K + 1) != 0 (B at w = 0 multiplies
+    # sin(0) and moves nothing).
+    n, ident = 4, identity_partition(4)
+    limit = limiting_class_distribution(spectrum(transpositions(n)), ident)
+    kernel = spectrum(transpositions(n)).kernel(ident)
+    entries = [(m, lam, w) for m in ("even", "odd") for lam in range(len(kernel.even))
+               for w, freq in enumerate(kernel.freqs) if m == "even" or freq]
+    for m, lam, w in entries:
+        spec = spectrum(transpositions(n))
+        getattr(spec.kernel(ident), m)[lam][w] += 1
+        assert _period_gap(spec, ident, limit) > 1e-9, (m, lam, w)
+
+
+def _midpoint_averages(spec, horizon, samples):
+    """The N-point midpoint rule for (1/T) integral_0^T P_t dt from each
+    start class, in numpy from the grouped kernel (one phase per exact
+    eigenvalue, in the same order for every start)."""
+    import numpy as np
+
+    nfact = factorial(spec.n)
+    times = (np.arange(samples) + 0.5) * horizon / samples
+    energies = kernel_matrix(spec, spec.classes[0])[0]
+    phases = np.exp(1j * np.outer([float(e) for e in energies], times))
+    for mu in spec.classes:
+        weights = np.array([float(Fraction(spec.class_sizes[lam] * spec.class_sizes[mu], nfact**2))
+                            for lam in spec.classes])
+        matrix = np.array(kernel_matrix(spec, mu)[1], dtype=float)
+        yield mu, weights * (abs(matrix @ phases) ** 2).mean(axis=1)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_time_average_matches_the_numpy_reference(n):
-    horizon, samples = 2 * math.pi, 64
+    # The midpoint rule errs by at most h^2 max|P''|/24 with h = T/N, and
+    # |P''| <= 4 E_max^2 because |a|, |a'|/E_max, |a''|/E_max^2 <= pref sum|K| <= 1.
     for gamma in generator_classes(n):
         spec = spectrum(ClassFunction.indicator(gamma))
-        for mu in spec.classes:
-            avg = time_averaged_distribution(spec, mu, horizon, samples)
-            acc = sum(numpy_kernel_reference(spec.kernel(mu), (j + 0.5) * horizon / samples)[1]
-                      for j in range(samples))
-            assert max(map(abs, list(avg.values()) - acc / samples)) <= 1e-15
+        e_max = max(abs(float(rec.eigenvalue)) for rec in spec.records)
+        for horizon in (1.3, 7.3):
+            samples = math.ceil(40 * horizon * e_max)
+            bound = (horizon / samples * e_max) ** 2 / 6 + 1e-12
+            for mu, reference in _midpoint_averages(spec, horizon, samples):
+                avg = time_averaged_distribution(spec, mu, horizon)
+                assert max(map(abs, list(avg.values()) - reference)) <= bound, (gamma, mu)
 
 
 def test_time_average_short_horizon_is_start():
-    spec = spectrum(transpositions(4))
-    ident = identity_partition(4)
-    avg = time_averaged_distribution(spec, ident, 1e-9, 1)
-    assert abs(avg[ident] - 1) < 1e-12
+    # As T -> 0 the average tends to the start's point mass, off by O(T^2 E^2).
+    for gamma in generator_classes(4):
+        spec = spectrum(ClassFunction.indicator(gamma))
+        for mu in spec.classes:
+            for horizon in (1e-9, 1e-300):
+                avg = time_averaged_distribution(spec, mu, horizon)
+                assert all(abs(p - (lam == mu)) < 1e-12 for lam, p in avg.items())
 
 
 def test_time_average_periodicity():
-    spec = spectrum(transpositions(5))
-    ident = identity_partition(5)
-    a = time_averaged_distribution(spec, ident, 2 * math.pi, 512)
-    b = time_averaged_distribution(spec, ident, 20 * math.pi, 5120)
-    for lam in a:
-        assert abs(a[lam] - b[lam]) < 1e-6
+    # Over any whole number of periods the average is the limit: 2*pi for
+    # transpositions, 3*pi for the weight-1/3 walk with eigenvalues 0, +-2/3, +-2.
+    walks = ((transpositions(5), 2 * math.pi),
+             (ClassFunction(4, {hook(4, 2): Fraction(1, 3)}), 3 * math.pi))
+    for f, period in walks:
+        spec, ident = spectrum(f), identity_partition(f.n)
+        exact = limiting_class_distribution(spec, ident)
+        for periods in (1, 10):
+            avg = time_averaged_distribution(spec, ident, periods * period)
+            assert max(abs(avg[lam] - float(p)) for lam, p in exact.items()) <= 1e-15, (f, periods)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -347,7 +347,7 @@ def test_both_engines_return_one_shape():
         class_distribution(spec, ident, t),
         classical_class_distribution(spec, ident, t),
         limiting_class_distribution(spec, ident),
-        time_averaged_distribution(spec, ident, 2 * math.pi, 8),
+        time_averaged_distribution(spec, ident, 2 * math.pi),
         class_sums(walk, evolve_classical(walk, ident, t)),
         limiting_distribution(walk, ident),
         class_aggregate(walk, evolve_quantum(walk, ident, t)).sums,
