@@ -441,8 +441,8 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
     if cfg.classical:
         sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, cfg.start, cfg.t))
     else:
-        agg = oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, cfg.start, cfg.t))
-        sums = agg.sums
+        psi = oracle_mod.evolve_quantum(walk, cfg.start, cfg.t)
+        sums = oracle_mod.class_aggregate(walk, psi)
     payload = {
         "n": cfg.n,
         "generator": list(gamma.parts),
@@ -452,7 +452,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         "classes": [_class_row(lam, probability=sums[lam]) for lam in walk.classes],
     }
     if not cfg.classical:
-        payload["max_class_deviation"] = agg.max_class_deviation
+        payload["max_class_deviation"] = oracle_mod.class_deviation(walk, psi)
     _emit(cfg, _json(payload))
     return 0
 

@@ -225,28 +225,20 @@ def evolve_classical(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray
     return np.maximum(density, 0.0).astype(float)
 
 
-@dataclass(frozen=True)
-class ClassAggregate:
-    sums: dict[Partition, float]
-    max_class_deviation: float
+def class_aggregate(walk: CayleyWalk, vec: np.ndarray) -> dict[Partition, float]:
+    """The quantum readout: ``class_sums`` of |amplitude|^2."""
+    return class_sums(walk, np.abs(vec) ** 2)
 
 
-def class_aggregate(walk: CayleyWalk, vec: np.ndarray) -> ClassAggregate:
-    """``class_sums`` of |amplitude|^2 plus a class-constancy report.
-
-    The deviation is the largest |a_g - mean of a over g's class|; for
-    a walk from a class it should sit at rounding noise (the amplitude
-    profile is a class function), for any other vector it is merely
-    informational.
-    """
+def class_deviation(walk: CayleyWalk, vec: np.ndarray) -> float:
+    """The largest |a_g - mean of a over g's class|: rounding noise for a
+    walk from a class, whose amplitude profile is a class function."""
     vec = np.asarray(vec)
     index, count = walk.class_index, len(walk.classes)
     means = (np.bincount(index, weights=vec.real, minlength=count)
              + 1j * np.bincount(index, weights=vec.imag, minlength=count))
     means /= np.bincount(index, minlength=count)
-    deviation = float(np.max(np.abs(vec - means[index])))
-    return ClassAggregate(sums=class_sums(walk, np.abs(vec) ** 2),
-                          max_class_deviation=deviation)
+    return float(np.max(np.abs(vec - means[index])))
 
 
 def class_sums(walk: CayleyWalk, vec: np.ndarray) -> dict[Partition, float]:

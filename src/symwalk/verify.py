@@ -84,7 +84,7 @@ def check_quantum_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum, tim
     ident = identity_partition(walk.n)
     return _worst_gap(
         times, lambda t: class_distribution(spec, ident, t),
-        lambda t: oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t)).sums)
+        lambda t: oracle_mod.class_aggregate(walk, oracle_mod.evolve_quantum(walk, ident, t)))
 
 
 def check_classical_vs_oracle(walk: oracle_mod.CayleyWalk, spec: WalkSpectrum):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import symwalk
-from symwalk.cli import main, run
+from symwalk.cli import UsageError, main, run
 from symwalk.errors import DomainError, ResourceLimitError, SymwalkError
 from symwalk.limiting import limiting_class_distribution, tv_distance
 from symwalk.partitions import Partition, enumerate_partitions, hook, identity_partition
@@ -359,6 +359,16 @@ def test_table_too_large_to_print_is_a_resource_refusal(capsys):
     _assert_json_error(*run_cli(capsys, "table", "--n", "3000"), 3)
 
 
+def test_exact_value_past_the_digit_limit_is_a_resource_refusal(capsys):
+    # Coprime weight denominators give eigenvalue denominators past Python's
+    # 4,300-digit int-to-str limit; the CSV is refused whole, with no row out.
+    code, out, err = run_cli(capsys, "spectrum", "--n", "4", "--generator", "2,1,1",
+                             "--weight", "1e-4299", "--generator", "3,1", "--weight", "1/59049",
+                             "--format", "csv")
+    _assert_json_error(code, out, err, 3)
+    assert json.loads(err)["error"] == "exact value has too many digits to print"
+
+
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_verify_refuses_empty_time_sample(capsys, samples):
     # verify samples fixed times; a sample count is an unknown option.
@@ -635,10 +645,22 @@ def _transposition_walk(n):
      DomainError, "horizon 1e+308 overflows the phase T*E"),
     (None, lambda: run(["oracle", "--n", "4", "--generator", "2,1,1", "--t=-1", "--classical"]),
      DomainError, "classical walk time must be nonnegative"),
+    (None, lambda: run(["characters", "--n", "-1"]), UsageError, "--n must be nonnegative"),
+    (None, lambda: run(["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "0"]),
+     UsageError, "--t-grid needs at least one step"),
+    (None, lambda: run(["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "0,1"]),
+     UsageError, "--t-grid must be MIN,MAX,STEPS or STEPS"),
+    (None, lambda: run(["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "a,b,c"]),
+     UsageError, "--t-grid must be MIN,MAX,STEPS or STEPS"),
+    (None, lambda: run(["table", "--n", "1"]), UsageError, "table needs n >= 2"),
+    (None, lambda: run(["oracle", "--n", "3", "--t", "1"]),
+     UsageError, "oracle needs exactly one --generator"),
+    (None, lambda: run(["oracle", "--n", "3", "--generator", "2,1", "--generator", "3", "--t", "1"]),
+     UsageError, "oracle needs exactly one --generator"),
 ])
 def test_library_refusals_raise_their_error(monkeypatch, env, call, error, message):
     # Each refusal raises its own error class with its own message; the
-    # CLI exits with the class's code (3 for a cap, 1 for a domain error).
+    # CLI exits with the class's code (3 for a cap, 1 for a domain or usage error).
     if env is None:
         monkeypatch.delenv("SYMWALK_MAX_N", raising=False)
     else:

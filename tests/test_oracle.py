@@ -19,6 +19,7 @@ from symwalk.limiting import limiting_class_distribution, time_averaged_distribu
 from symwalk.oracle import (
     build_cayley,
     class_aggregate,
+    class_deviation,
     class_sums,
     evolve_classical,
     evolve_quantum,
@@ -175,15 +176,13 @@ def test_evolve_t0_and_norm():
 def test_quantum_peak_s3():
     walk = build_cayley(3, Partition((2, 1)))
     psi = evolve_quantum(walk, identity_partition(3), math.pi / 3)
-    agg = class_aggregate(walk, psi)
-    assert abs(agg.sums[Partition((3,))] - 8 / 9) < 1e-9
+    assert abs(class_aggregate(walk, psi)[Partition((3,))] - 8 / 9) < 1e-9
 
 
 def test_class_constancy_from_identity():
     walk = build_cayley(4, Partition((2, 1, 1)))
     psi = evolve_quantum(walk, identity_partition(4), 0.9)
-    agg = class_aggregate(walk, psi)
-    assert agg.max_class_deviation < 1e-10
+    assert class_deviation(walk, psi) < 1e-10
 
 
 def test_non_class_start_reports_deviation():
@@ -193,9 +192,8 @@ def test_non_class_start_reports_deviation():
     i = walk.vertices.tolist().index([2, 1, 3])
     evals, evecs = np.linalg.eigh(dense_adjacency(walk))
     psi = evecs @ (np.exp(0.8j * evals) * evecs[i])
-    agg = class_aggregate(walk, psi)
-    assert agg.max_class_deviation > 1e-3  # not a class function
-    assert abs(sum(agg.sums.values()) - 1) < 1e-10
+    assert class_deviation(walk, psi) > 1e-3  # not a class function
+    assert abs(sum(class_aggregate(walk, psi).values()) - 1) < 1e-10
 
 
 def test_periodicity_observed_directly():
@@ -209,8 +207,7 @@ def test_periodicity_observed_directly():
 def test_uniform_vector_aggregates_to_class_sizes():
     walk = build_cayley(4, Partition((2, 1, 1)))
     vec = np.full(24, 1 / math.sqrt(24), dtype=complex)
-    agg = class_aggregate(walk, vec)
-    for lam, s in agg.sums.items():
+    for lam, s in class_aggregate(walk, vec).items():
         assert abs(s - class_size(lam) / 24) < 1e-12
 
 
@@ -279,10 +276,9 @@ def test_quantum_matches_spectral_engine_all_generators(n):
         walk = build_cayley(n, gamma)
         spec = spectrum(ClassFunction.indicator(gamma))
         for t in times:
-            agg = class_aggregate(walk, evolve_quantum(walk, ident, t))
-            dist = class_distribution(spec, ident, t)
-            for lam, p in dist.items():
-                assert abs(p - agg.sums.get(lam, 0.0)) < 1e-9
+            dense = class_aggregate(walk, evolve_quantum(walk, ident, t))
+            for lam, p in class_distribution(spec, ident, t).items():
+                assert abs(p - dense[lam]) < 1e-9
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -327,7 +323,7 @@ def test_every_class_start_matches_the_spectral_engine(n):
         spec = spectrum(ClassFunction.indicator(gamma))
         for start in enumerate_partitions(n):
             for t, tol in QUANTUM_TOL.items():
-                dense = class_aggregate(walk, evolve_quantum(walk, start, t)).sums
+                dense = class_aggregate(walk, evolve_quantum(walk, start, t))
                 for lam, p in class_distribution(spec, start, t).items():
                     assert abs(p - dense[lam]) < tol, (gamma, start, t, lam)
             for t, tol in CLASSICAL_TOL.items():
@@ -350,7 +346,7 @@ def test_both_engines_return_one_shape():
         time_averaged_distribution(spec, ident, 2 * math.pi),
         class_sums(walk, evolve_classical(walk, ident, t)),
         limiting_distribution(walk, ident),
-        class_aggregate(walk, evolve_quantum(walk, ident, t)).sums,
+        class_aggregate(walk, evolve_quantum(walk, ident, t)),
     ]
     for dist in distributions:
         assert type(dist) is dict

@@ -159,7 +159,7 @@ def test_distribution_matches_oracle_n4():
     dense = class_aggregate(walk, evolve_quantum(walk, identity_partition(4), 0.7))
     dist = class_distribution(spec, identity_partition(4), 0.7)
     for lam, p in dist.items():
-        assert abs(p - dense.sums[lam]) < 1e-9
+        assert abs(p - dense[lam]) < 1e-9
 
 
 @pytest.mark.parametrize("gamma", [(3, 1), (5,), (3, 1, 1)])
