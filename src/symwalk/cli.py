@@ -40,7 +40,6 @@ from .walk_spectrum import (
     WalkSpectrum,
     class_amplitude,
     class_distribution,
-    classical_class_distribution,
     eigenvalue_float,
     spectrum,
 )
@@ -320,25 +319,12 @@ def _cmd_amplitude(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _distribution_json(cfg: argparse.Namespace, dist) -> dict:
-    return {
-        "n": cfg.n,
-        "generator": _generator_json(cfg),
-        "t": cfg.t,
-        "start": list(cfg.start.parts),
-        "classes": [
-            _class_row(lam, probability=p, per_element=p / class_size(lam))
-            for lam, p in dist.items()
-        ],
-    }
-
-
 def _cmd_distribution(cfg: argparse.Namespace) -> int:
     spec = _walk_spectrum(cfg)
+    kernel = spec.kernel(cfg.start)
+    probs = kernel.classical_probabilities if cfg.classical else kernel.quantum_probabilities
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
-        kernel = spec.kernel(cfg.start)
-        probs = kernel.classical_probabilities if cfg.classical else kernel.quantum_probabilities
         points = ["t,class,probability\n"]  # one string per time point, written at the end
         labels = [f",\"{lam}\"," for lam in spec.classes]
         for j in range(steps):
@@ -347,9 +333,15 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
             points.append("".join([f"{head}{label}{p!r}\n" for label, p in zip(labels, probs(t))]))
         _emit(cfg, *points)
         return 0
-    engine = classical_class_distribution if cfg.classical else class_distribution
-    dist = engine(spec, cfg.start, cfg.t)
-    _emit(cfg, _json(_distribution_json(cfg, dist)))
+    payload = {
+        "n": cfg.n,
+        "generator": _generator_json(cfg),
+        "t": cfg.t,
+        "start": list(cfg.start.parts),
+        "classes": [_class_row(lam, probability=p, per_element=p / class_size(lam))
+                    for lam, p in zip(spec.classes, probs(cfg.t))],
+    }
+    _emit(cfg, _json(payload))
     return 0
 
 
@@ -440,9 +432,11 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         return 0
     if cfg.classical:
         sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, cfg.start, cfg.t))
+        extra = {}
     else:
         psi = oracle_mod.evolve_quantum(walk, cfg.start, cfg.t)
         sums = oracle_mod.class_aggregate(walk, psi)
+        extra = {"max_class_deviation": oracle_mod.class_deviation(walk, psi)}
     payload = {
         "n": cfg.n,
         "generator": list(gamma.parts),
@@ -450,9 +444,8 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         "start": list(cfg.start.parts),
         "classical": cfg.classical,
         "classes": [_class_row(lam, probability=sums[lam]) for lam in walk.classes],
+        **extra,
     }
-    if not cfg.classical:
-        payload["max_class_deviation"] = oracle_mod.class_deviation(walk, psi)
     _emit(cfg, _json(payload))
     return 0
 

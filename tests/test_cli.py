@@ -148,6 +148,32 @@ def test_amplitude_probability_is_the_distributions_float(capsys, n):
                     assert probability == at_t[target.parts] == on_grid[target.parts]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classical_distribution_is_the_one_point_grids_float(capsys, n):
+    # distribution --t --classical prints, bit for bit, the float that a
+    # one-point --t-grid --classical prints for each class.
+    for gamma in enumerate_partitions(n)[:-1]:
+        for start in (f"{n}", ",".join("1" * n)):
+            for t in ("0.3", "0.7", "1.9", "3.3"):
+                walk = ("--n", str(n), "--generator", str(gamma), "--start", start, "--classical")
+                _, out, _ = run_cli(capsys, "distribution", *walk, "--t", t)
+                at_t = [(tuple(row["partition"]), row["probability"])
+                        for row in json.loads(out)["classes"]]
+                _, out, _ = run_cli(capsys, "distribution", *walk, "--t-grid", f"{t},{t},1")
+                on_grid = [(tuple(map(int, lam.split(","))), float(p))
+                           for _, lam, p in csv.reader(out.splitlines()[1:])]
+                assert at_t == on_grid
+
+
+def test_oracle_t_keys_in_order(capsys):
+    walk = ("oracle", "--n", "4", "--generator", "3,1", "--t", "0.7")
+    keys = ["n", "generator", "t", "start", "classical", "classes", "max_class_deviation"]
+    _, out, _ = run_cli(capsys, *walk)
+    assert list(json.loads(out)) == keys
+    _, out, _ = run_cli(capsys, *walk, "--classical")
+    assert list(json.loads(out)) == keys[:-1]
+
+
 def test_table_records(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "6")
     assert code == 0

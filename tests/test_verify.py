@@ -201,6 +201,21 @@ def test_a_suite_without_any_spectrum_still_reports_every_check(monkeypatch):
         *ORACLE_CHECKS, "eigenvalue_integrality", "sine_closed_form", "limiting_table"}
 
 
+def test_a_non_integral_transposition_character_fails_its_check_with_a_report(monkeypatch):
+    # dim (4,1) one too high makes Ingram's value at (4,1) 5/2; only the
+    # closed form reads characters.dimension, so only its check fails.
+    from symwalk import characters
+
+    dimension = characters.dimension
+    monkeypatch.setattr(characters, "dimension",
+                        lambda nu: dimension(nu) + (nu == Partition((4, 1))))
+    results = verify.run_suite(5)
+    assert len(results) == 11
+    assert [r for r in results if not r.passed] == [verify.CheckResult(
+        name="transposition_closed_form", passed=False,
+        message="transposition character for 4,1 is not integral: 5/2")]
+
+
 def _offset_at(target, offset):
     """Wrap a reference so that only calls whose leading arguments are
     ``target`` are offset."""
