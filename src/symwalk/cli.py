@@ -261,7 +261,7 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_characters(cfg: argparse.Namespace) -> int:
+def _cmd_characters(cfg: argparse.Namespace) -> tuple:
     rows = list(zip(*character_table(cfg.n)))  # one row per irrep, in the order of the classes
     classes = enumerate_partitions(cfg.n)  # after the table, so its cap is the one named
     if cfg.format == "csv":
@@ -269,23 +269,20 @@ def _cmd_characters(cfg: argparse.Namespace) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + [str(lam) for lam in classes])
         writer.writerows([str(nu), *row] for nu, row in zip(classes, rows))
-        _emit(cfg, out.getvalue())
-        return 0
+        return 0, out.getvalue()
     # Integers as decimal strings so consumers without bigints survive.
     parts = [list(lam.parts) for lam in classes]
-    _emit(cfg, _json({"n": cfg.n, "classes": parts, "reps": parts,
-                      "entries": [[str(v) for v in row] for row in rows]}))
-    return 0
+    return 0, _json({"n": cfg.n, "classes": parts, "reps": parts,
+                     "entries": [[str(v) for v in row] for row in rows]})
 
 
-def _cmd_spectrum(cfg: argparse.Namespace) -> int:
+def _cmd_spectrum(cfg: argparse.Namespace) -> tuple:
     spec = spectrum(_class_function(cfg))
     if cfg.format == "csv":
         lines = ["rep,dim,eigenvalue"]
         for rec in spec.records:
             lines.append(f"\"{rec.rep}\",{rec.dim},{exact_str(rec.eigenvalue)}")
-        _emit(cfg, "\n".join(lines) + "\n")
-        return 0
+        return 0, "\n".join(lines) + "\n"
     payload = {
         "n": cfg.n,
         "generator": _generator_json(cfg),
@@ -299,11 +296,10 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> int:
             for rec in spec.records
         ],
     }
-    _emit(cfg, _json(payload))
-    return 0
+    return 0, _json(payload)
 
 
-def _cmd_amplitude(cfg: argparse.Namespace) -> int:
+def _cmd_amplitude(cfg: argparse.Namespace) -> tuple:
     spec = _walk_spectrum(cfg)
     amp = class_amplitude(spec, cfg.target, cfg.start, cfg.t)
     payload = {
@@ -315,11 +311,10 @@ def _cmd_amplitude(cfg: argparse.Namespace) -> int:
         "amplitude": {"re": amp.real, "im": amp.imag},
         "probability": class_distribution(spec, cfg.start, cfg.t)[cfg.target],
     }
-    _emit(cfg, _json(payload))
-    return 0
+    return 0, _json(payload)
 
 
-def _cmd_distribution(cfg: argparse.Namespace) -> int:
+def _cmd_distribution(cfg: argparse.Namespace) -> tuple:
     spec = _walk_spectrum(cfg)
     kernel = spec.kernel(cfg.start)
     probs = kernel.classical_probabilities if cfg.classical else kernel.quantum_probabilities
@@ -331,8 +326,7 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
             t = lo + (hi - lo) * j / max(steps - 1, 1)
             head = repr(t)
             points.append("".join([f"{head}{label}{p!r}\n" for label, p in zip(labels, probs(t))]))
-        _emit(cfg, *points)
-        return 0
+        return 0, *points
     payload = {
         "n": cfg.n,
         "generator": _generator_json(cfg),
@@ -341,11 +335,10 @@ def _cmd_distribution(cfg: argparse.Namespace) -> int:
         "classes": [_class_row(lam, probability=p, per_element=p / class_size(lam))
                     for lam, p in zip(spec.classes, probs(cfg.t))],
     }
-    _emit(cfg, _json(payload))
-    return 0
+    return 0, _json(payload)
 
 
-def _cmd_limit(cfg: argparse.Namespace) -> int:
+def _cmd_limit(cfg: argparse.Namespace) -> tuple:
     spec = _walk_spectrum(cfg)
     exact = limiting_class_distribution(spec, cfg.start)
     groups = eigenvalue_groups(spec)
@@ -377,11 +370,10 @@ def _cmd_limit(cfg: argparse.Namespace) -> int:
             "horizon": cfg.average,
             "max_abs_gap": max(abs(avg[lam] - float(p)) for lam, p in exact.items()),
         }
-    _emit(cfg, _json(payload))
-    return 0
+    return 0, _json(payload)
 
 
-def _cmd_table(cfg: argparse.Namespace) -> int:
+def _cmd_table(cfg: argparse.Namespace) -> tuple:
     if cfg.n < 2:
         raise UsageError("table needs n >= 2")
     check_cap(cfg.n, TABLE_CAP, "n-cycle table")
@@ -395,11 +387,10 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
             "exact": exact_str(value),
             "decimal": decimal_str(value),
         }))
-    _emit(cfg, "\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> tuple:
     check_cap(cfg.n, ORACLE_CAP, ORACLE_WHAT)  # before numpy loads
     from .verify import run_suite  # loads numpy, which only the oracle needs
 
@@ -414,11 +405,10 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         "passed": len(results) - failed,
         "failed": failed,
     }
-    _emit(cfg, _json(payload))
-    return 0 if failed == 0 else 2
+    return (2 if failed else 0), _json(payload)
 
 
-def _cmd_oracle(cfg: argparse.Namespace) -> int:
+def _cmd_oracle(cfg: argparse.Namespace) -> tuple:
     if len(cfg.generators) != 1:
         raise UsageError("oracle needs exactly one --generator")
     check_cap(cfg.n, ORACLE_CAP, ORACLE_WHAT)  # before numpy loads
@@ -428,8 +418,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
     cfg.start = cfg.start or identity_partition(cfg.n)  # as in _walk_spectrum
     if cfg.dump_adjacency:
         lines = ["perm_g,perm_h", *(f"\"{g}\",\"{h}\"" for g, h in walk.edges())]
-        _emit(cfg, "\n".join(lines) + "\n")
-        return 0
+        return 0, "\n".join(lines) + "\n"
     if cfg.classical:
         sums = oracle_mod.class_sums(walk, oracle_mod.evolve_classical(walk, cfg.start, cfg.t))
         extra = {}
@@ -446,8 +435,7 @@ def _cmd_oracle(cfg: argparse.Namespace) -> int:
         "classes": [_class_row(lam, probability=sums[lam]) for lam in walk.classes],
         **extra,
     }
-    _emit(cfg, _json(payload))
-    return 0
+    return 0, _json(payload)
 
 
 _COMMANDS = {
@@ -466,11 +454,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = _parse_args(parser.parse_args(argv))
     try:
-        return _COMMANDS[args.subcommand](args)
+        code, *texts = _COMMANDS[args.subcommand](args)
     except ModuleNotFoundError as exc:  # verify and oracle import numpy when they run
         if exc.name != "numpy":
             raise
         raise ResourceLimitError(f"{args.subcommand} needs numpy, which is not installed") from None
+    _emit(args, *texts)  # the one write, once the command has computed all of it
+    return code
 
 
 def main(argv=None) -> int:

@@ -185,7 +185,10 @@ def check_limiting_table(n: int, spectra: Spectra) -> CheckResult:
         spec = spectra[hook(n, p)]
         if isinstance(spec, ConsistencyError):
             return CheckResult(name="limiting_table", passed=False, message=str(spec))
-        exact = limiting_class_distribution(spec, ident)[ncycle] / spec.class_sizes[ncycle]
+        try:
+            exact = limiting_class_distribution(spec, ident)[ncycle] / spec.class_sizes[ncycle]
+        except ConsistencyError as exc:  # the limit's sum guard
+            return CheckResult(name="limiting_table", passed=False, message=str(exc))
         table = table_ncycle_case(n, p)[1]
         if table != exact:
             return CheckResult(
@@ -204,9 +207,12 @@ def check_dimension_agreement(n: int) -> CheckResult:
 
 def _oracle_check(name: str, worsts: list[tuple[Partition, tuple]]) -> CheckResult:
     """The worst of one (generator, (error, [t,] class)) entry per generator
-    class; ties go to the first generator."""
+    class, ties to the first generator; the first ConsistencyError entry fails it."""
     if not worsts:  # every generator's spectrum failed
         return CheckResult(name=name, passed=False, message="no generator class has a spectrum")
+    failure = next((gap for _, gap in worsts if isinstance(gap, ConsistencyError)), None)
+    if failure:
+        return CheckResult(name=name, passed=False, message=str(failure))
     gamma, (worst, *t, lam) = max(worsts, key=lambda entry: _error(entry[1]))
     # Partitions as lists of parts, as in every other JSON output; t if timed.
     worst_at = {"generator": list(gamma.parts), **dict(zip(["t"], t)), "class": list(lam.parts)}
@@ -218,9 +224,9 @@ def run_suite(n: int) -> list[CheckResult]:
     """The full battery for one n.
 
     One spectrum per generator class feeds every check that needs one;
-    a generator whose spectrum fails is left out of the oracle
-    comparisons, and every check still reports.
-    The oracle checks share one graph and one Krylov
+    a generator whose spectrum fails is left out of the oracle comparisons,
+    a limit that fails its sum guard fails the two limit checks, and every
+    check still reports.  The oracle checks share one graph and one Krylov
     decomposition of the identity start per generator class; the quantum
     one samples QUANTUM_SAMPLES times over one period.
     """
@@ -237,7 +243,10 @@ def run_suite(n: int) -> list[CheckResult]:
         walk = oracle_mod.build_cayley(n, gamma)
         quantum.append((gamma, check_quantum_vs_oracle(walk, spec, times)))
         classical.append((gamma, check_classical_vs_oracle(walk, spec)))
-        limiting.append((gamma, check_limiting_vs_oracle(walk, spec)))
+        try:
+            limiting.append((gamma, check_limiting_vs_oracle(walk, spec)))
+        except ConsistencyError as exc:  # the limit's sum guard
+            limiting.append((gamma, exc))
         del walk  # free this graph before the next one is built
     return [
         _oracle_check("quantum_vs_oracle", quantum),

@@ -374,11 +374,15 @@ def test_a_closed_stdout_pipe_is_a_usage_error():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_stdout_on_a_full_device_is_a_usage_error():
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "symwalk", "table", "--n", "5"],
-                              stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=_subprocess_env())
-    _assert_failed_stdout_write(proc.returncode, proc.stderr, "No space left on device")
+    # The one write of a JSON command and of a sweep each meet the full
+    # device; stderr holds the error line and nothing else.
+    for argv in (["table", "--n", "4"],
+                 ["distribution", "--n", "4", "--generator", "2,1,1", "--t-grid", "5"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "symwalk", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=_subprocess_env())
+        assert (proc.returncode, proc.stderr) == (
+            1, '{"error": "cannot write \'stdout\': No space left on device", "code": 1}\n'), argv
 
 
 def test_table_too_large_to_print_is_a_resource_refusal(capsys):
@@ -459,9 +463,15 @@ def test_import_symwalk_loads_no_engine_until_a_name_is_used():
 
 
 def test_float_commands_without_numpy_exit_3_with_one_json_line(capsys):
+    # numpy absent from the import system, as on an interpreter without it:
+    # a finder ahead of all others reports it missing.
     script = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            raise ModuleNotFoundError(\"No module named 'numpy'\", name=name)\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
         "from symwalk.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -470,10 +480,10 @@ def test_float_commands_without_numpy_exit_3_with_one_json_line(capsys):
         return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                               text=True, env=_subprocess_env())
 
-    for argv in (["verify", "--n", "3"], ["oracle", "--n", "3", "--generator", "2,1", "--t", "1"]):
+    for argv in (["verify", "--n", "4"], ["oracle", "--n", "3", "--generator", "2,1", "--t", "0.5"]):
         proc = run(*argv)
-        _assert_json_error(proc.returncode, proc.stdout, proc.stderr, 3)
-        assert json.loads(proc.stderr)["error"] == f"{argv[0]} needs numpy, which is not installed"
+        line = f'{{"error": "{argv[0]} needs numpy, which is not installed", "code": 3}}\n'
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
     # Above the oracle cap both commands refuse before they need numpy.
     for argv in (["verify", "--n", "7"], ["verify", "--n", "31"],
                  ["oracle", "--n", "7", "--generator", "7", "--t", "0.7"]):

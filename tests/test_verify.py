@@ -231,6 +231,29 @@ def _flip_one_entry(original):
     return flipped
 
 
+def test_a_limit_that_does_not_sum_to_one_fails_its_checks_with_a_report(monkeypatch, capsys):
+    # One flipped entry of the table the walk kernel reads at n = 4 makes
+    # the limits of the 3,1 and 2,2 walks sum to 25/24.  Both limit checks
+    # fail with the sum guard's message; every other check still reports.
+    from symwalk import walk_spectrum
+    from symwalk.cli import main
+
+    monkeypatch.setattr(walk_spectrum, "character_table",
+                        _flip_one_entry(walk_spectrum.character_table))
+    results = verify.run_suite(4)
+    assert len(results) == 11
+    failed = {r.name: r.message for r in results if not r.passed}
+    message = "limiting distribution sums to 25/24, not 1"
+    assert failed == {"quantum_vs_oracle": None, "classical_vs_oracle": None,
+                      "sine_closed_form": None, "limiting_table": message,
+                      "limiting_vs_oracle": message}
+    assert main(["verify", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and (payload["passed"], payload["failed"]) == (6, 5)
+    assert [check["name"] for check in payload["checks"]] == [r.name for r in results]
+
+
 def test_orthogonality_names_the_first_failing_pair(monkeypatch):
     monkeypatch.setattr(verify, "character_table", _flip_one_entry(verify.character_table))
     result = verify.check_orthogonality_relations(5)
