@@ -144,8 +144,9 @@ def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
 class WalkKernel:
     """The walk from one start class mu as two exact integer matrices.
 
-    With w running over the distinct |E_nu| in first-seen irrep order
-    and s_nu = -1 where E_nu < 0 and +1 elsewhere,
+    With w running over the distinct |E_nu| (``freqs``: first-seen irrep
+    order, except that the w only one of +w, -w reaches come last) and
+    s_nu = -1 where E_nu < 0 and +1 elsewhere,
 
         A[lam][w] = sum_{nu : |E_nu| = w} chi_nu(lam) chi_nu(mu)
         B[lam][w] = sum_{nu : |E_nu| = w} s_nu chi_nu(lam) chi_nu(mu)
@@ -169,11 +170,14 @@ class WalkKernel:
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
         columns = character_table(spec.n)  # A and B have a row per class: every column
-        slots: dict[Fraction, int] = {}  # w -> its column, in first-seen order
-        where = [slots.setdefault(abs(rec.eigenvalue), len(slots)) for rec in spec.records]
+        present = {rec.eigenvalue for rec in spec.records}
+        mags = [abs(rec.eigenvalue) for rec in spec.records]
+        # A stable sort puts the w that both signs reach (and 0) first.
+        self.freqs = sorted(dict.fromkeys(mags), key=lambda w: w not in present or -w not in present)
+        slots = {w: i for i, w in enumerate(self.freqs)}
         col_mu = columns[spec.classes.index(mu)]
         # Irreps with chi_nu(mu) = 0 add nothing to any entry.
-        terms = [(i, where[i], c, -c if rec.eigenvalue < 0 else c)
+        terms = [(i, slots[mags[i]], c, -c if rec.eigenvalue < 0 else c)
                  for i, (rec, c) in enumerate(zip(spec.records, col_mu)) if c]
         self.even, self.odd = [], []  # A and B
         for col in columns:
@@ -183,7 +187,6 @@ class WalkKernel:
                 b[w] += col[i] * sc
             self.even.append(a)
             self.odd.append(b)
-        self.freqs = list(slots)
         self.spec = spec
         self.mu = mu
 
@@ -196,27 +199,24 @@ class WalkKernel:
         generator (|E| <= d) never overflow.  B[0] multiplies sin(0) = 0
         and is left out.  Where only one of +w, -w is an eigenvalue, the
         classical walk takes x_w = y_w = e^{t(E - d)}, so c_w is that one
-        exponential and s_w = 0 drops out.  For an odd generator class
-        (transpositions among them) E_nu' = -E_nu and chi_nu' = sgn chi_nu,
-        so K-[w] = +-K+[w] and one of A[w], B[w] is 0 on every class: with
-        the zeros skipped, a time point adds about half the nonzero terms
-        of the sum over eigenvalues.
+        exponential and s_w = 0: those w come last, and the classical odd
+        sums stop after the ``two_signed`` leading columns.  For an odd
+        generator class (transpositions among them) E_nu' = -E_nu and
+        chi_nu' = sgn chi_nu, so K-[w] = +-K+[w] and one of A[w], B[w] is 0
+        on every class: with the zeros skipped, a time point adds about
+        half the nonzero terms of the sum over eigenvalues.
         """
         spec, nfact, freqs = self.spec, factorial(self.spec.n), self.freqs
         sizes = [spec.class_sizes[lam] for lam in spec.classes]
         degree = spec.f.degree()
         present = {rec.eigenvalue for rec in spec.records}
-        nonzero = [w != 0 for w in freqs]
-        paired = [w != 0 and w in present and -w in present for w in freqs]
-        cos_freqs = [eigenvalue_float(w) for w in freqs]
+        floats = [eigenvalue_float(w) for w in freqs]
         return SimpleNamespace(
             even_rows=[_sparse(a) for a in self.even],
-            odd_rows=[_sparse(list(compress(b, nonzero))) for b in self.odd],
-            paired_rows=[_sparse(list(compress(b, paired))) for b in self.odd],
-            paired=paired,
-            cos_freqs=cos_freqs,
-            sin_freqs=[eigenvalue_float(w) for w in compress(freqs, nonzero)],
-            max_freq=max(cos_freqs),
+            odd_rows=[_sparse([b if w else 0 for w, b in zip(freqs, row)]) for row in self.odd],
+            freqs=floats,
+            two_signed=sum(w in present and -w in present for w in freqs),
+            max_freq=max(floats),
             # x_w = e^{t*rising}, y_w = e^{t*falling}
             rising=[eigenvalue_float((w if w in present else -w) - degree) for w in freqs],
             falling=[eigenvalue_float((-w if -w in present else w) - degree) for w in freqs],
@@ -226,20 +226,20 @@ class WalkKernel:
             weights=[s / nfact for s in sizes],
         )
 
-    def _sums(self, evens: list[float], odds: list[float], odd_rows) -> tuple[list, list]:
+    def _sums(self, evens: list[float], odds: list[float]) -> tuple[list, list]:
         """Per class, sum_w A[w] evens[w] and sum_w B[w] odds[w] over the
-        nonzero A and B (last bits by interpreter: see the module notes)."""
-        even_rows = self._folded.even_rows
-        return ([sum(map(mul, a, compress(evens, at))) if a else 0.0 for a, at in even_rows],
-                [sum(map(mul, b, compress(odds, bt))) if b else 0.0 for b, bt in odd_rows])
+        nonzero A and B; a shorter ``odds`` ends its sums there (last bits
+        by interpreter: see the module notes)."""
+        f = self._folded
+        return ([sum(map(mul, a, compress(evens, at))) if a else 0.0 for a, at in f.even_rows],
+                [sum(map(mul, b, compress(odds, bt))) if b else 0.0 for b, bt in f.odd_rows])
 
     def _real_imag(self, t: float) -> tuple[list[float], list[float]]:
         """Real and imaginary parts of every class amplitude at time t."""
         f = self._folded
         if not math.isfinite(t * f.max_freq):
             raise DomainError(f"time {t!r} overflows the phase t*E")
-        re, im = self._sums([math.cos(t * w) for w in f.cos_freqs],
-                            [math.sin(t * w) for w in f.sin_freqs], f.odd_rows)
+        re, im = self._sums([math.cos(t * w) for w in f.freqs], [math.sin(t * w) for w in f.freqs])
         return list(map(mul, f.prefactors, re)), list(map(mul, f.prefactors, im))
 
     def amplitudes(self, t: float) -> list[complex]:
@@ -264,8 +264,7 @@ class WalkKernel:
         x = [math.exp(t * r) for r in f.rising]
         y = [math.exp(t * r) for r in f.falling]  # may round to e^-inf = 0
         even, odd = self._sums([(p + q) / 2 for p, q in zip(x, y)],
-                               [(p - q) / 2 for pair, p, q in zip(f.paired, x, y) if pair],
-                               f.paired_rows)
+                               [(p - q) / 2 for p, q in zip(x, y[:f.two_signed])])
         return [0.0 if m < 0.0 else m for m in map(mul, f.weights, map(add, even, odd))]
 
     def averaged_probabilities(self, horizon: float) -> list[float]:
@@ -282,12 +281,12 @@ class WalkKernel:
             y = x * horizon
             return math.sin(y) / y if y else 1.0
 
-        def form(rows, freqs, sign) -> list[float]:
-            pairs = [[(sinc(u - v) + sign * sinc(u + v)) / 2 for v in freqs] for u in freqs]
+        def form(rows, sign) -> list[float]:
+            pairs = [[(sinc(u - v) + sign * sinc(u + v)) / 2 for v in f.freqs] for u in f.freqs]
             return [sum(x * sum(map(mul, vals, compress(row, at)))
                         for x, row in zip(vals, compress(pairs, at))) for vals, at in rows]
 
-        even, odd = form(f.even_rows, f.cos_freqs, 1), form(f.odd_rows, f.sin_freqs, -1)
+        even, odd = form(f.even_rows, 1), form(f.odd_rows, -1)
         return [max(0.0, p * p * (a + b)) for p, a, b in zip(f.prefactors, even, odd)]
 
     def limiting_sums(self) -> list[int]:

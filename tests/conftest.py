@@ -7,8 +7,6 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-import pytest
-
 from symwalk.characters import character_table
 from symwalk.partitions import Partition, cycle_type
 from symwalk.walk_spectrum import ClassFunction
@@ -36,11 +34,6 @@ def brute_class_counts(n: int) -> dict:
         lam = cycle_type(perm)
         counts[lam] = counts.get(lam, 0) + 1
     return counts
-
-
-@pytest.fixture
-def count_oracle():
-    return partition_count
 
 
 def transpositions(n: int) -> ClassFunction:

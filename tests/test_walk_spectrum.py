@@ -15,6 +15,7 @@ from symwalk.partitions import (
     enumerate_partitions,
     hook,
     identity_partition,
+    is_even_class,
     transpose,
 )
 from symwalk.verify import generator_classes
@@ -215,6 +216,26 @@ def test_classical_t0_and_uniform_limit():
     assert abs(sum(dinf.values()) - 1) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_classical_walk_starts_at_the_identity_and_ends_uniform(n):
+    # Every gap d - E is an integer >= 1 off the stationary eigenvalues, so
+    # at t = 200 each decaying term is below e^-200 and adds nothing: the
+    # walk is exactly uniform on A_n for an even generator class (the sign
+    # irrep sits at E = d, reached by one sign only) and on S_n for an odd
+    # one (the sign irrep at E = -d pairs with the trivial one).
+    ident, nfact = identity_partition(n), factorial(n)
+    for gamma in generator_classes(n):
+        spec = spectrum(ClassFunction.indicator(gamma))
+        start = classical_class_distribution(spec, ident, 0.0)
+        assert start == {lam: float(lam == ident) for lam in spec.classes}, gamma
+        for lam, p in classical_class_distribution(spec, ident, 200.0).items():
+            if not is_even_class(gamma):
+                want = class_size(lam) / nfact
+            else:
+                want = class_size(lam) / (nfact // 2) if is_even_class(lam) else 0.0
+            assert p == want, (gamma, lam)
+
+
 def test_classical_matches_dense_exponential():
     walk = build_cayley(4, Partition((2, 1, 1)))
     spec = spectrum(transpositions(4))
@@ -358,6 +379,25 @@ def test_folding_halves_the_transposition_terms():
     _, matrix = kernel_matrix(kernel.spec, kernel.mu)
     assert sum(1 for row in matrix for k in row if k) == 7702
     assert terms == 3873
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kernel_columns_put_the_one_signed_frequencies_last(n):
+    # The classical odd sums read only the leading ``two_signed`` columns,
+    # where s_w = (x_w - y_w)/2 can be nonzero; a w that only one of +w, -w
+    # reaches has s_w = 0 and must come after all of them.  Each part keeps
+    # the first-seen irrep order.
+    for gamma in generator_classes(n):
+        spec = spectrum(ClassFunction.indicator(gamma))
+        present = {rec.eigenvalue for rec in spec.records}
+        seen = list(dict.fromkeys(abs(rec.eigenvalue) for rec in spec.records))
+        both = [w for w in seen if w in present and -w in present]
+        lone = [w for w in seen if not (w in present and -w in present)]
+        assert 0 not in lone
+        for mu in spec.classes:
+            kernel = spec.kernel(mu)
+            assert kernel.freqs == both + lone, (gamma, mu)
+            assert kernel._folded.two_signed == len(both), (gamma, mu)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
