@@ -8,10 +8,10 @@ of class lam starting from c_mu is
                  chi_nu(lam) chi_nu(mu) )^2
 
 with G running over the groups of irreps sharing one exact eigenvalue
-(``eigenvalue_groups``); the kernel reads the sum off its fold onto the
-distinct |E| (``WalkKernel.limiting_sums``).  Everything on this route
-is a big-integer/rational identity; the only collision detection is
-equality of exact rationals, never floats.
+(``WalkSpectrum.groups``); the kernel reads the sum off its fold onto
+the spectrum's |E| axis (``WalkKernel.limiting_sums``).  Everything on
+this route is a big-integer/rational identity; the only collision
+detection is equality of exact rationals, never floats.
 
 The closed-form n-cycle table for p-cycle generators is implemented
 separately in ``table_ncycle_case``: it drives the ``table`` command
@@ -36,12 +36,9 @@ class EigenGroups(NamedTuple):
 
 
 def eigenvalue_groups(spec: WalkSpectrum) -> EigenGroups:
-    """Group irreps by equal exact E_nu (rational comparison only), in
+    """The irreps grouped by equal exact E_nu (``WalkSpectrum.groups``), in
     the canonical order of each group's first member."""
-    groups: dict[Fraction, list[Partition]] = {}
-    for rec in spec.records:
-        groups.setdefault(rec.eigenvalue, []).append(rec.rep)
-    return EigenGroups(groups=tuple(map(tuple, groups.values())))
+    return EigenGroups(tuple(tuple(spec.classes[i] for i in at) for at in spec.groups.values()))
 
 
 def limiting_class_distribution(spec: WalkSpectrum, mu: Partition) -> dict[Partition, Fraction]:

@@ -202,7 +202,9 @@ def evolve_quantum(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:
     values, ritz, basis = walk.krylov(start)
     # The basis is real: the phased coordinates go back as two real products.
     c = np.dot(ritz, np.exp(1j * t * values) * ritz[0])
-    return (np.dot(c.real, basis) + 1j * np.dot(c.imag, basis)).astype(complex)
+    psi = np.empty(basis.shape[1], dtype=complex)
+    psi.real, psi.imag = np.dot(c.real, basis), np.dot(c.imag, basis)
+    return psi
 
 
 def evolve_classical(walk: CayleyWalk, start: Partition, t: float) -> np.ndarray:

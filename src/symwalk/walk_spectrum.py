@@ -15,7 +15,7 @@ identity on the literal adjacency matrix).
 
 Eigenvalues are exact rationals (exact integers for a 0/1 generator
 set, the mechanism behind the walk's 2*pi periodicity).  Phase terms
-are accumulated onto the distinct |E| with exact integer coefficients,
+are accumulated onto the spectrum's |E| axis, in exact integers,
 once per start class (``WalkKernel``).  The only floating-point steps
 are a cos and sin (or two exps) per distinct |E| and, per target class,
 sums of coefficient times those factors over the nonzero coefficients, so
@@ -104,6 +104,20 @@ class WalkSpectrum:
     def class_sizes(self) -> dict[Partition, int]:
         return {lam: class_size(lam) for lam in self.classes}
 
+    @cached_property
+    def groups(self) -> dict[Fraction, list[int]]:
+        """Each distinct exact E, first seen first, with its irreps' positions."""
+        groups: dict[Fraction, list[int]] = {}
+        for i, rec in enumerate(self.records):
+            groups.setdefault(rec.eigenvalue, []).append(i)
+        return groups
+
+    @cached_property
+    def freqs(self) -> list[Fraction]:
+        """Every kernel's |E| axis, first seen first; an |E| only one sign reaches goes last."""
+        return sorted(dict.fromkeys(map(abs, self.groups)),
+                      key=lambda w: w not in self.groups or -w not in self.groups)
+
     def kernel(self, mu: Partition) -> "WalkKernel":
         """The phase kernel from start class mu, built once per start."""
         if mu not in self._kernels:
@@ -144,9 +158,8 @@ def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
 class WalkKernel:
     """The walk from one start class mu as two exact integer matrices.
 
-    With w running over the distinct |E_nu| (``freqs``: first-seen irrep
-    order, except that the w only one of +w, -w reaches come last) and
-    s_nu = -1 where E_nu < 0 and +1 elsewhere,
+    With w running over the spectrum's |E| axis ``freqs`` and s_nu = -1
+    where E_nu < 0 and +1 elsewhere,
 
         A[lam][w] = sum_{nu : |E_nu| = w} chi_nu(lam) chi_nu(mu)
         B[lam][w] = sum_{nu : |E_nu| = w} s_nu chi_nu(lam) chi_nu(mu)
@@ -170,15 +183,12 @@ class WalkKernel:
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
         columns = character_table(spec.n)  # A and B have a row per class: every column
-        present = {rec.eigenvalue for rec in spec.records}
-        mags = [abs(rec.eigenvalue) for rec in spec.records]
-        # A stable sort puts the w that both signs reach (and 0) first.
-        self.freqs = sorted(dict.fromkeys(mags), key=lambda w: w not in present or -w not in present)
+        self.freqs = spec.freqs  # shared by every start class
         slots = {w: i for i, w in enumerate(self.freqs)}
         col_mu = columns[spec.classes.index(mu)]
         # Irreps with chi_nu(mu) = 0 add nothing to any entry.
-        terms = [(i, slots[mags[i]], c, -c if rec.eigenvalue < 0 else c)
-                 for i, (rec, c) in enumerate(zip(spec.records, col_mu)) if c]
+        terms = [(i, slots[abs(e)], col_mu[i], -col_mu[i] if e < 0 else col_mu[i])
+                 for e, at in spec.groups.items() for i in at if col_mu[i]]
         self.even, self.odd = [], []  # A and B
         for col in columns:
             a, b = [0] * len(slots), [0] * len(slots)
@@ -209,17 +219,16 @@ class WalkKernel:
         spec, nfact, freqs = self.spec, factorial(self.spec.n), self.freqs
         sizes = [spec.class_sizes[lam] for lam in spec.classes]
         degree = spec.f.degree()
-        present = {rec.eigenvalue for rec in spec.records}
         floats = [eigenvalue_float(w) for w in freqs]
         return SimpleNamespace(
             even_rows=[_sparse(a) for a in self.even],
             odd_rows=[_sparse([b if w else 0 for w, b in zip(freqs, row)]) for row in self.odd],
             freqs=floats,
-            two_signed=sum(w in present and -w in present for w in freqs),
+            two_signed=sum(w in spec.groups and -w in spec.groups for w in freqs),
             max_freq=max(floats),
             # x_w = e^{t*rising}, y_w = e^{t*falling}
-            rising=[eigenvalue_float((w if w in present else -w) - degree) for w in freqs],
-            falling=[eigenvalue_float((-w if -w in present else w) - degree) for w in freqs],
+            rising=[eigenvalue_float((w if w in spec.groups else -w) - degree) for w in freqs],
+            falling=[eigenvalue_float((-w if -w in spec.groups else w) - degree) for w in freqs],
             prefactors=[
                 math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
             ],

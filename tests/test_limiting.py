@@ -283,7 +283,7 @@ def test_a_perturbed_kernel_entry_fails_the_period_check():
     limit = limiting_class_distribution(spectrum(transpositions(n)), ident)
     kernel = spectrum(transpositions(n)).kernel(ident)
     entries = [(m, lam, w) for m in ("even", "odd") for lam in range(len(kernel.even))
-               for w, freq in enumerate(kernel.freqs) if m == "even" or freq]
+               for w, freq in enumerate(kernel.spec.freqs) if m == "even" or freq]
     for m, lam, w in entries:
         spec = spectrum(transpositions(n))
         getattr(spec.kernel(ident), m)[lam][w] += 1

@@ -353,7 +353,9 @@ def test_kernel_matches_the_numpy_reference(n):
     for gamma in generator_classes(n):
         spec = spectrum(ClassFunction.indicator(gamma))
         for mu in spec.classes:
-            for t in (0.0, 0.7, 3.1, 100.0):
+            # At t = 0.05 and 0.3 a paired classical term e^{-t(d - w)} is
+            # above the tolerance, so a dropped one shows.
+            for t in (0.0, 0.05, 0.3, 0.7, 3.1, 100.0):
                 _assert_matches_numpy_reference(spec.kernel(mu), t)
 
 
@@ -386,7 +388,8 @@ def test_kernel_columns_put_the_one_signed_frequencies_last(n):
     # The classical odd sums read only the leading ``two_signed`` columns,
     # where s_w = (x_w - y_w)/2 can be nonzero; a w that only one of +w, -w
     # reaches has s_w = 0 and must come after all of them.  Each part keeps
-    # the first-seen irrep order.
+    # the first-seen irrep order.  The spectrum owns the axis: every start
+    # class's kernel indexes that one list rather than deriving its own.
     for gamma in generator_classes(n):
         spec = spectrum(ClassFunction.indicator(gamma))
         present = {rec.eigenvalue for rec in spec.records}
@@ -394,9 +397,10 @@ def test_kernel_columns_put_the_one_signed_frequencies_last(n):
         both = [w for w in seen if w in present and -w in present]
         lone = [w for w in seen if not (w in present and -w in present)]
         assert 0 not in lone
+        assert spec.freqs == both + lone, gamma
         for mu in spec.classes:
             kernel = spec.kernel(mu)
-            assert kernel.freqs == both + lone, (gamma, mu)
+            assert kernel.freqs is spec.freqs, (gamma, mu)  # one list for every start
             assert kernel._folded.two_signed == len(both), (gamma, mu)
 
 
