@@ -118,6 +118,21 @@ class WalkSpectrum:
         return sorted(dict.fromkeys(map(abs, self.groups)),
                       key=lambda w: w not in self.groups or -w not in self.groups)
 
+    @cached_property
+    def float_axis(self) -> SimpleNamespace:
+        """The |E| axis in floats, with its max, ``two_signed``, the classical
+        exponents and the class weights, which every start class's kernel reads."""
+        groups, degree, nfact = self.groups, self.f.degree(), factorial(self.n)
+        floats = [eigenvalue_float(w) for w in self.freqs]
+        return SimpleNamespace(
+            freqs=floats,
+            max_freq=max(floats),
+            two_signed=sum(w in groups and -w in groups for w in self.freqs),
+            rising=[eigenvalue_float((w if w in groups else -w) - degree) for w in self.freqs],
+            falling=[eigenvalue_float((-w if -w in groups else w) - degree) for w in self.freqs],
+            weights=[self.class_sizes[lam] / nfact for lam in self.classes],
+        )
+
     def kernel(self, mu: Partition) -> "WalkKernel":
         """The phase kernel from start class mu, built once per start."""
         if mu not in self._kernels:
@@ -183,8 +198,7 @@ class WalkKernel:
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
         columns = character_table(spec.n)  # A and B have a row per class: every column
-        self.freqs = spec.freqs  # shared by every start class
-        slots = {w: i for i, w in enumerate(self.freqs)}
+        slots = {w: i for i, w in enumerate(spec.freqs)}
         col_mu = columns[spec.classes.index(mu)]
         # Irreps with chi_nu(mu) = 0 add nothing to any entry.
         terms = [(i, slots[abs(e)], col_mu[i], -col_mu[i] if e < 0 else col_mu[i])
@@ -214,25 +228,16 @@ class WalkKernel:
         generator class (transpositions among them) E_nu' = -E_nu and
         chi_nu' = sgn chi_nu, so K-[w] = +-K+[w] and one of A[w], B[w] is 0
         on every class: with the zeros skipped, a time point adds about
-        half the nonzero terms of the sum over eigenvalues.
-        """
-        spec, nfact, freqs = self.spec, factorial(self.spec.n), self.freqs
-        sizes = [spec.class_sizes[lam] for lam in spec.classes]
-        degree = spec.f.degree()
-        floats = [eigenvalue_float(w) for w in freqs]
+        half the nonzero terms of the sum over eigenvalues.  Only the rows
+        and the prefactors depend on mu: the rest is ``spec.float_axis``."""
+        spec, nfact = self.spec, factorial(self.spec.n)
+        size_mu = spec.class_sizes[self.mu]
         return SimpleNamespace(
+            **vars(spec.float_axis),
             even_rows=[_sparse(a) for a in self.even],
-            odd_rows=[_sparse([b if w else 0 for w, b in zip(freqs, row)]) for row in self.odd],
-            freqs=floats,
-            two_signed=sum(w in spec.groups and -w in spec.groups for w in freqs),
-            max_freq=max(floats),
-            # x_w = e^{t*rising}, y_w = e^{t*falling}
-            rising=[eigenvalue_float((w if w in spec.groups else -w) - degree) for w in freqs],
-            falling=[eigenvalue_float((-w if -w in spec.groups else w) - degree) for w in freqs],
-            prefactors=[
-                math.sqrt(Fraction(s * spec.class_sizes[self.mu], nfact * nfact)) for s in sizes
-            ],
-            weights=[s / nfact for s in sizes],
+            odd_rows=[_sparse([b if w else 0 for w, b in zip(spec.freqs, r)]) for r in self.odd],
+            prefactors=[math.sqrt(spec.class_sizes[lam] * size_mu / nfact ** 2)
+                        for lam in spec.classes],  # int / int rounds as float(Fraction) does
         )
 
     def _sums(self, evens: list[float], odds: list[float]) -> tuple[list, list]:

@@ -61,6 +61,30 @@ def test_distribution_single_time(capsys):
     assert payload["start"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("command", [
+    ("amplitude", "--generator", "2,1", "--target", "3"),
+    ("distribution", "--generator", "2,1"),
+    ("oracle", "--generator", "2,1"),
+])
+@pytest.mark.parametrize("t", ["-1e-3", "-2E1", "-.5e1"])
+def test_a_negative_time_in_exponent_form_needs_no_equals_sign(capsys, command, t):
+    # argparse's own rule reads "-1e-3" as an unknown flag and exits 1.
+    name, *rest = command
+    spaced = run_cli(capsys, name, "--n", "3", *rest, "--t", t)
+    joined = run_cli(capsys, name, "--n", "3", *rest, f"--t={t}")
+    assert spaced == joined and spaced[0] == 0 and spaced[2] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--n", "3", "--generator", "2,1", "--t-grid", "-1,1,3"),
+    ("distribution", "--n", "3", "--generator", "2,1", "--t", "-inf"),
+])
+def test_a_negative_value_that_is_no_number_still_needs_the_equals_sign(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].endswith("expected one argument")
+
+
 def test_distribution_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "distribution", "--n", "3", "--generator", "2,1",

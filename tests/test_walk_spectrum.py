@@ -388,8 +388,9 @@ def test_kernel_columns_put_the_one_signed_frequencies_last(n):
     # The classical odd sums read only the leading ``two_signed`` columns,
     # where s_w = (x_w - y_w)/2 can be nonzero; a w that only one of +w, -w
     # reaches has s_w = 0 and must come after all of them.  Each part keeps
-    # the first-seen irrep order.  The spectrum owns the axis: every start
-    # class's kernel indexes that one list rather than deriving its own.
+    # the first-seen irrep order.  The spectrum owns the float view of the
+    # axis: every start class's kernel reads its one copy of the float |E|,
+    # the classical exponents and the class weights, and keeps no axis.
     for gamma in generator_classes(n):
         spec = spectrum(ClassFunction.indicator(gamma))
         present = {rec.eigenvalue for rec in spec.records}
@@ -400,8 +401,23 @@ def test_kernel_columns_put_the_one_signed_frequencies_last(n):
         assert spec.freqs == both + lone, gamma
         for mu in spec.classes:
             kernel = spec.kernel(mu)
-            assert kernel.freqs is spec.freqs, (gamma, mu)  # one list for every start
+            assert not hasattr(kernel, "freqs"), (gamma, mu)
             assert kernel._folded.two_signed == len(both), (gamma, mu)
+            for name in ("freqs", "rising", "falling", "weights"):
+                assert getattr(kernel._folded, name) is getattr(spec.float_axis, name), (gamma, mu)
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), 14])
+def test_prefactors_round_as_the_exact_fraction_does(n):
+    # pref_lam = sqrt(|C_lam||C_mu|)/n!, taken as the square root of the
+    # correctly rounded float of the exact ratio: for every class pair, and
+    # at n = 14 from the identity.
+    spec, nfact = spectrum(transpositions(n)), factorial(n)
+    for mu in spec.classes if n <= 8 else [identity_partition(n)]:
+        prefactors = spec.kernel(mu)._folded.prefactors
+        for lam, pref in zip(spec.classes, prefactors):
+            exact = Fraction(class_size(lam) * class_size(mu), nfact * nfact)
+            assert pref == math.sqrt(exact), (lam, mu)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
