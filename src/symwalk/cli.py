@@ -140,9 +140,9 @@ def build_parser() -> _Parser:
     when.add_argument("--t", type=_parse_time, default=None, help="single time in radians")
     when.add_argument("--t-grid", default=None, metavar="MIN,MAX,STEPS",
                       help="sweep; emits CSV rows t,class,probability; a bare "
-                           "STEPS count sweeps [0, 2*pi], one full period of a "
-                           "0/1 generator set (other weights may need explicit "
-                           "ends)")
+                           "STEPS count sweeps one period [0, 2*pi/g], g the gcd "
+                           "of the eigenvalue differences ([0, 2*pi] with "
+                           "--classical)")
     p.add_argument("--classical", action="store_true", help="e^{-tL} instead of e^{itA}")
 
     p = sub.add_parser("limit", help="exact limiting distribution and TV distances")
@@ -199,15 +199,16 @@ def _parse_args(args: argparse.Namespace) -> argparse.Namespace:
         try:
             tokens = args.t_grid.split(",")
             if len(tokens) == 1:
-                # One period covers the whole walk: e^{itH} is 2*pi-periodic
-                # for integer spectra, so [0, 2*pi] is the default sweep.
-                lo, hi, steps = 0.0, 2 * math.pi, int(tokens[0])
+                # A bare count sweeps one period: the quantum walk's own,
+                # which its spectrum gives (``None`` until then), and
+                # [0, 2*pi] for the classical walk, which has none.
+                lo, hi, steps = 0.0, (2 * math.pi if args.classical else None), int(tokens[0])
             else:
                 lo, hi, steps = tokens
                 lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
             raise UsageError("--t-grid must be MIN,MAX,STEPS or STEPS") from None
-        if not math.isfinite(hi - lo):  # also rules out non-finite ends
+        if hi is not None and not math.isfinite(hi - lo):  # also rules out non-finite ends
             raise UsageError("--t-grid ends and span must be finite")
         if steps < 1:
             raise UsageError("--t-grid needs at least one step")
@@ -324,6 +325,7 @@ def _cmd_distribution(cfg: argparse.Namespace) -> tuple:
     probs = kernel.classical_probabilities if cfg.classical else kernel.quantum_probabilities
     if cfg.t_grid is not None:
         lo, hi, steps = cfg.t_grid
+        hi = spec.period if hi is None else hi
         points = ["t,class,probability\n"]  # one string per time point, written at the end
         labels = [f",\"{lam}\"," for lam in spec.classes]
         for j in range(steps):

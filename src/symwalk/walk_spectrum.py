@@ -14,7 +14,8 @@ f(g^{-1}h) = f(gh^{-1}) for class functions (the oracle tests this
 identity on the literal adjacency matrix).
 
 Eigenvalues are exact rationals (exact integers for a 0/1 generator
-set, the mechanism behind the walk's 2*pi periodicity).  Phase terms
+set), so the walk is periodic: ``WalkSpectrum.period`` is 2*pi/g, with
+g the gcd of the eigenvalues' differences.  Phase terms
 are accumulated onto the spectrum's |E| axis, in exact integers,
 once per start class (``WalkKernel``).  The only floating-point steps
 are a cos and sin (or two exps) per distinct |E| and, per target class,
@@ -119,6 +120,25 @@ class WalkSpectrum:
                       key=lambda w: w not in self.groups or -w not in self.groups)
 
     @cached_property
+    def period(self) -> float:
+        """The shortest period 2*pi/g of e^{itH} up to a global phase: g is the
+        gcd of the differences of the distinct exact eigenvalues, for rationals
+        the gcd of the numerators over the lcm of the denominators."""
+        first, *rest = self.groups
+        gaps = [e - first for e in rest]
+        g = eigenvalue_float(Fraction(math.gcd(*(d.numerator for d in gaps)),
+                                      math.lcm(*(d.denominator for d in gaps))))
+        period = 2 * math.pi / g if g else math.inf  # g is 0.0 where it underflows
+        if not math.isfinite(period):
+            raise DomainError("the walk's period is too long for a float")
+        return period
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The full character table, folded once for every start's kernel."""
+        return character_table(self.n)
+
+    @cached_property
     def float_axis(self) -> SimpleNamespace:
         """The |E| axis in floats, with its max, ``two_signed``, the classical
         exponents and the class weights, which every start class's kernel reads."""
@@ -197,7 +217,7 @@ class WalkKernel:
     def __init__(self, spec: WalkSpectrum, mu: Partition):
         if mu.n != spec.n:
             raise DomainError(f"start class {mu} is not a partition of {spec.n}")
-        columns = character_table(spec.n)  # A and B have a row per class: every column
+        columns = spec.columns  # A and B have a row per class: every column
         slots = {w: i for i, w in enumerate(spec.freqs)}
         col_mu = columns[spec.classes.index(mu)]
         # Irreps with chi_nu(mu) = 0 add nothing to any entry.

@@ -189,6 +189,51 @@ def test_classical_distribution_is_the_one_point_grids_float(capsys, n):
                 assert at_t == on_grid
 
 
+def _sweep_points(capsys, *argv) -> list[tuple[str, list[float]]]:
+    """Each time point of a sweep: its t field and its class probabilities."""
+    code, out, err = run_cli(capsys, "distribution", *argv)
+    assert (code, err) == (0, "")
+    points: dict[str, list[float]] = {}
+    for t, _, p in csv.reader(out.splitlines()[1:]):
+        points.setdefault(t, []).append(float(p))
+    return list(points.items())
+
+
+def test_a_bare_sweep_covers_the_n14_ncycle_walks_period(capsys):
+    # g = 241,920, so [0, 2*pi] would print the t = 0 distribution 64 times.
+    points = _sweep_points(capsys, "--n", "14", "--generator", "14", "--t-grid", "64")
+    assert len(points) == 64
+    start = points[0][1]
+    for _, probs in points[1:-1]:
+        assert max(abs(p - q) for p, q in zip(probs, start)) > 1e-6
+
+
+@pytest.mark.parametrize("walk, end", [
+    (("--n", "4", "--generator", "2,1,1", "--weight", "1/3"), 3 * math.pi),
+    (("--n", "2", "--generator", "2"), math.pi),
+])
+def test_a_bare_sweep_ends_at_the_period(capsys, walk, end):
+    points = _sweep_points(capsys, *walk, "--t-grid", "8")
+    assert [t for t, _ in points][::7] == ["0.0", repr(end)]
+
+
+@pytest.mark.parametrize("walk", [
+    ("--n", "8", "--generator", "2,1,1,1,1,1,1"),
+    ("--n", "6", "--generator", "6", "--classical"),
+])
+def test_a_g1_or_classical_bare_sweep_still_covers_two_pi(capsys, walk):
+    bare = run_cli(capsys, "distribution", *walk, "--t-grid", "16")
+    ends = run_cli(capsys, "distribution", *walk, "--t-grid", f"0,{2 * math.pi!r},16")
+    assert bare == ends and bare[0] == 0
+
+
+def test_a_period_past_the_float_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "distribution", "--n", "4", "--generator", "2,1,1",
+                             "--weight", "1e-4299", "--t-grid", "8")
+    _assert_json_error(code, out, err, 1)
+    assert json.loads(err)["error"] == "the walk's period is too long for a float"
+
+
 def test_oracle_t_keys_in_order(capsys):
     walk = ("oracle", "--n", "4", "--generator", "3,1", "--t", "0.7")
     keys = ["n", "generator", "t", "start", "classical", "classes", "max_class_deviation"]

@@ -254,25 +254,34 @@ def test_time_average_converges_to_exact():
             assert _period_gap(spec, mu, limiting_class_distribution(spec, mu)) <= 1e-15, (f, mu)
 
 
-def _period_gcd(spec):
-    """g, the gcd of the differences of the distinct exact eigenvalues."""
-    low, *rest = sorted({rec.eigenvalue for rec in spec.records})
-    return math.gcd(*(int(e - low) for e in rest))
-
-
 def test_time_average_over_half_a_period_is_the_limit():
     # P(t) = P(2*pi/g - t), so the average over [0, pi/g] is the limit.  Every
     # generator class at n = 3..8 with g > 1, from the identity and from the
     # n-cycle class; the worst gap is 2.2e-16.
     specs = [spectrum(ClassFunction.indicator(gamma))
              for n in range(3, 9) for gamma in generator_classes(n)]
-    specs = [(spec, g) for spec in specs if (g := _period_gcd(spec)) > 1]
+    specs = [spec for spec in specs if spec.period < 2 * math.pi]
     assert len(specs) == 37
-    for spec, g in specs:
+    for spec in specs:
         for mu in (identity_partition(spec.n), Partition((spec.n,))):
-            avg = time_averaged_distribution(spec, mu, math.pi / g)
+            avg = time_averaged_distribution(spec, mu, spec.period / 2)
             limit = limiting_class_distribution(spec, mu)
             assert max(abs(avg[lam] - float(p)) for lam, p in limit.items()) <= 1e-15, (spec.f, mu)
+
+
+def test_the_start_is_the_likeliest_vertex():
+    # Godsil's average mixing matrix sum_E P_E o P_E is positive
+    # semidefinite, so on a vertex-transitive graph P(g -> g) >= P(g -> h).
+    # From the identity, the identity's per-element limit is strictly
+    # larger than every other class's, for every single-class generator.
+    gammas = [gamma for n in range(3, 10) for gamma in generator_classes(n)]
+    assert len(gammas) == 86
+    for gamma in gammas:
+        spec, ident = spectrum(ClassFunction.indicator(gamma)), identity_partition(gamma.n)
+        per_element = {lam: p / spec.class_sizes[lam]
+                       for lam, p in limiting_class_distribution(spec, ident).items()}
+        start = per_element.pop(ident)
+        assert all(start > p for p in per_element.values()), gamma
 
 
 def test_a_perturbed_kernel_entry_fails_the_period_check():

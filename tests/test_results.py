@@ -6,40 +6,71 @@ printed text.  ``python tests/test_results.py`` prints the tables.
 """
 
 import re
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from symwalk.limiting import limiting_class_distribution, table_ncycle_case, tv_distance
-from symwalk.partitions import Partition, hook, identity_partition
+from symwalk.partitions import (Partition, class_size, enumerate_partitions, hook,
+                                identity_partition, is_even_class)
 from symwalk.walk_spectrum import ClassFunction, spectrum
 
 RESULTS = Path(__file__).resolve().parent.parent / "RESULTS.md"
 
+# Both limit sections have a row per n and a column per generator.
+LIMIT_NS = range(4, 15)
+ARGV = r"`symwalk limit --n (?P<n>\d+) --generator (?P<gamma>[\d,]+)`"
+
 NONUNIFORM = "## Non-uniform limiting distributions"
-NONUNIFORM_NS = range(4, 15)
 # One cell: the TV from uniform, then the argv whose ``tv`` field holds it.
-CELL = re.compile(r"^(\d\.\d{4}) `symwalk limit --n (\d+) --generator ([\d,]+)`$")
+CELL = re.compile(r"^(\d\.\d{4}) " + ARGV + "$")
+
+BLIND = "## Blind to large areas"
+# One cell: the limit's mass far from the identity, the uniform mass
+# there, then the argv whose per-class ``probability`` fields sum to it.
+BLIND_CELL = re.compile(r"^(\d\.\d{4}) of (\d\.\d{4}) " + ARGV + "$")
 
 
 def _columns(n: int) -> list[tuple[Partition, str]]:
-    """Each column's generator and the support its TV is taken against:
-    transpositions on S_n, 3-cycles on A_n, the n-cycle on A_n when it is
-    even (odd n) and on S_n otherwise."""
+    """Each column's generator and the support its uniform distribution
+    lives on: transpositions on S_n, 3-cycles on A_n, the n-cycle on A_n
+    when it is even (odd n) and on S_n otherwise."""
     ncycle = "alternating_group" if n % 2 else "symmetric_group"
     return [(hook(n, 2), "symmetric_group"), (hook(n, 3), "alternating_group"),
             (hook(n, n), ncycle)]
 
 
-def _tv(gamma: Partition, support: str) -> str:
+@cache
+def _limit(gamma: Partition) -> dict[Partition, Fraction]:
+    """The exact limit of the walk generated by gamma, started at the identity."""
     spec = spectrum(ClassFunction.indicator(gamma))
-    limit = limiting_class_distribution(spec, identity_partition(gamma.n))
-    return f"{float(tv_distance(limit, support)):.4f}"
+    return limiting_class_distribution(spec, identity_partition(gamma.n))
 
 
-def nonuniform_rows() -> list[str]:
-    """The section's table rows, as RESULTS.md prints them."""
+def _tv(gamma: Partition, support: str) -> tuple[str]:
+    return (f"{float(tv_distance(_limit(gamma), support)):.4f}",)
+
+
+def _far_mass(gamma: Partition, support: str) -> tuple[str, str]:
+    """The limit's mass at transposition distance n - l(lam) >= n // 2, and
+    the mass the uniform distribution on the support puts there."""
+    n = gamma.n
+    far = {lam for lam in enumerate_partitions(n) if n - len(lam.parts) >= n // 2}
+    members = [lam for lam in enumerate_partitions(n)
+               if support == "symmetric_group" or is_even_class(lam)]
+    uniform = Fraction(sum(class_size(lam) for lam in members if lam in far),
+                       sum(map(class_size, members)))
+    mass = sum(p for lam, p in _limit(gamma).items() if lam in far)
+    return f"{float(mass):.4f}", f"{float(uniform):.4f}"
+
+
+def limit_rows(values, joiner: str) -> list[str]:
+    """A limit section's table rows, as RESULTS.md prints them: each cell
+    the ``values`` of its column joined by ``joiner``, then its argv."""
     rows = []
-    for n in NONUNIFORM_NS:
-        cells = [f"{_tv(gamma, support)} `symwalk limit --n {n} --generator {gamma}`"
+    for n in LIMIT_NS:
+        cells = [joiner.join(values(gamma, support))
+                 + f" `symwalk limit --n {n} --generator {gamma}`"
                  for gamma, support in _columns(n)]
         rows.append(f"| {n} | " + " | ".join(cells) + " |")
     return rows
@@ -52,21 +83,29 @@ def _table(text: str, heading: str) -> list[list[str]]:
     return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
 
 
-def nonuniform_mismatches(text: str) -> list[str]:
-    """Every printed cell that the library does not reproduce."""
-    table = _table(text, NONUNIFORM)
-    bad = [] if [row[0] for row in table] == [str(n) for n in NONUNIFORM_NS] else ["row labels"]
+def limit_mismatches(text: str, heading: str, cell, values) -> list[str]:
+    """Every printed cell of a limit section that the library does not reproduce."""
+    table = _table(text, heading)
+    bad = [] if [row[0] for row in table] == [str(n) for n in LIMIT_NS] else ["row labels"]
     for row in table:
         n = int(row[0])
         if len(row) != 4:
             bad.append(f"row {n} has {len(row)} cells")
             continue
-        for cell, (gamma, support) in zip(row[1:], _columns(n)):
-            match = CELL.match(cell)
-            if (not match or int(match[2]) != n or Partition.parse(match[3]) != gamma
-                    or match[1] != _tv(gamma, support)):
-                bad.append(cell)
+        for printed, (gamma, support) in zip(row[1:], _columns(n)):
+            match = cell.match(printed)
+            if (not match or int(match["n"]) != n or Partition.parse(match["gamma"]) != gamma
+                    or match.groups()[:-2] != values(gamma, support)):
+                bad.append(printed)
     return bad
+
+
+def nonuniform_mismatches(text: str) -> list[str]:
+    return limit_mismatches(text, NONUNIFORM, CELL, _tv)
+
+
+def blind_mismatches(text: str) -> list[str]:
+    return limit_mismatches(text, BLIND, BLIND_CELL, _far_mass)
 
 
 NCYCLE = "## The paper's n-cycle table"
@@ -122,6 +161,19 @@ def test_one_changed_digit_fails_the_check():
         "0.6519 `symwalk limit --n 14 --generator 2,1,1,1,1,1,1,1,1,1,1,1,1`"]
 
 
+def test_every_blind_row_recomputes():
+    assert blind_mismatches(RESULTS.read_text()) == []
+
+
+def test_one_changed_digit_fails_the_blind_check():
+    text = RESULTS.read_text()
+    cell = "0.0002 of 0.9982 `symwalk limit --n 14 --generator 14`"
+    assert text.count(cell) == 1
+    changed = text.replace(cell, "0.0002 of 0.9983 `symwalk limit --n 14 --generator 14`")
+    assert blind_mismatches(changed) == [
+        "0.0002 of 0.9983 `symwalk limit --n 14 --generator 14`"]
+
+
 def test_every_ncycle_row_recomputes():
     assert ncycle_mismatches(RESULTS.read_text()) == []
 
@@ -149,6 +201,8 @@ def test_one_changed_value_fails_the_ncycle_check():
 
 
 if __name__ == "__main__":
-    print("\n".join(nonuniform_rows()))
+    print("\n".join(limit_rows(_tv, "")))
+    print()
+    print("\n".join(limit_rows(_far_mass, " of ")))
     print()
     print("\n".join("| " + " | ".join(cells) + " |" for cells in ncycle_cells()))

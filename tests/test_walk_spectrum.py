@@ -321,6 +321,43 @@ def test_kernel_is_built_once_per_start():
         spec.kernel(Partition((3, 2)))
 
 
+def test_the_spectrum_folds_the_character_table_once_for_every_start(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return character_table(n)
+
+    monkeypatch.setattr(walk_spectrum, "character_table", counted)
+    spec = spectrum(transpositions(6))
+    kernels = [spec.kernel(mu) for mu in (identity_partition(6), Partition((3, 3)),
+                                           Partition((6,)))]
+    assert calls == [6]
+    assert all(k.spec.columns is spec.columns for k in kernels)
+
+
+@pytest.mark.parametrize("n, gamma, weight, g", [
+    (6, (6,), 1, 12),
+    (10, (10,), 1, 1440),
+    (14, (14,), 1, 241920),
+    (4, (2, 1, 1), Fraction(1, 3), Fraction(2, 3)),
+    (2, (2,), 1, 2),
+    (14, hook(14, 2).parts, 1, 1),
+    (14, hook(14, 3).parts, 1, 1),
+])
+def test_the_period_is_two_pi_over_the_gcd_of_the_eigenvalue_gaps(n, gamma, weight, g):
+    spec = spectrum(ClassFunction(n, {Partition(gamma): weight}))
+    assert spec.period == 2 * math.pi / g
+    gaps = {a - b for a in spec.groups for b in spec.groups}
+    assert all((gap / g).denominator == 1 for gap in gaps)
+
+
+def test_a_period_past_the_float_range_is_refused():
+    spec = spectrum(ClassFunction(4, {hook(4, 2): Fraction("1e-4299")}))
+    with pytest.raises(DomainError, match="period is too long"):
+        spec.period
+
+
 def test_overflowing_phase_is_refused():
     spec = spectrum(transpositions(4))
     with pytest.raises(DomainError):
