@@ -39,7 +39,7 @@ from .walk_spectrum import (
 
 # Largest error an oracle check passes with.
 ORACLE_TOL = 1e-9
-# Samples over one period, t = 2*pi*j/QUANTUM_SAMPLES, of the quantum oracle check.
+# Samples of the quantum oracle check: midpoints of [0, period/2], as P(t) = P(period - t).
 QUANTUM_SAMPLES = 16
 # Times at which the classical walk is compared with the oracle.
 CLASSICAL_TIMES = (0.1, 0.5, 2.0)
@@ -228,11 +228,10 @@ def run_suite(n: int) -> list[CheckResult]:
     a limit that fails its sum guard fails the two limit checks, and every
     check still reports.  The oracle checks share one graph and one Krylov
     decomposition of the identity start per generator class; the quantum
-    one samples QUANTUM_SAMPLES times over one period.
+    one samples QUANTUM_SAMPLES midpoints of the first half period.
     """
     if n < 2:
         raise DomainError(f"verify needs n >= 2, got {n}")
-    times = [2 * math.pi * j / QUANTUM_SAMPLES for j in range(QUANTUM_SAMPLES)]
     quantum, classical, limiting, spectra = [], [], [], {}
     for gamma in generator_classes(n):
         try:
@@ -241,6 +240,7 @@ def run_suite(n: int) -> list[CheckResult]:
             spectra[gamma] = exc
             continue
         walk = oracle_mod.build_cayley(n, gamma)
+        times = [(j + 0.5) * spec.period / (2 * QUANTUM_SAMPLES) for j in range(QUANTUM_SAMPLES)]
         quantum.append((gamma, check_quantum_vs_oracle(walk, spec, times)))
         classical.append((gamma, check_classical_vs_oracle(walk, spec)))
         try:

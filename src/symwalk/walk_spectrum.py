@@ -19,13 +19,13 @@ g the gcd of the eigenvalues' differences.  Phase terms
 are accumulated onto the spectrum's |E| axis, in exact integers,
 once per start class (``WalkKernel``).  The only floating-point steps
 are a cos and sin (or two exps) per distinct |E| and, per target class,
-sums of coefficient times those factors over the nonzero coefficients, so
+sums of coefficient times those factors (a zero row skipped), so
 destructive interference that is exact in the algebra (e.g. odd classes
-under an even generator) is exact in the output as well.  Evaluation is
-plain Python (``math`` and lists), so no walk command imports numpy;
-only the literal oracle does.  Float sums use ``sum()``, which adds left
-to right up to Python 3.11 and compensates rounding from 3.12, so the
-last bits of a float output depend on the interpreter.
+under an even generator) is exact in the output as well: a zero
+coefficient adds 0.  Evaluation is plain Python (``math`` and lists), so
+no walk command imports numpy; only the literal oracle does.  Float sums
+use ``sum()``, which adds left to right up to Python 3.11 and compensates
+rounding from 3.12: the last bits of a float output depend only on that.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import factorial
 from operator import add, mul
 from types import SimpleNamespace
@@ -183,11 +182,9 @@ def spectrum(f: ClassFunction) -> WalkSpectrum:
     return WalkSpectrum(f, records)
 
 
-def _sparse(row: list[int]) -> tuple[list[float], list[bool]]:
-    """The nonzero entries of an exact row as floats, and a selector of
-    their places for ``itertools.compress``.  A zero entry adds k*x = 0
-    to its sum, which changes no nonzero sum, so evaluation skips it."""
-    return list(map(float, filter(None, row))), list(map(bool, row))
+def _floats(row: list[int]) -> list[float]:
+    """An exact row rounded to floats, or [] where every entry is 0."""
+    return list(map(float, row)) if any(row) else []
 
 
 class WalkKernel:
@@ -236,37 +233,37 @@ class WalkKernel:
 
     @cached_property
     def _folded(self) -> SimpleNamespace:
-        """The nonzero entries of A and B rounded to floats once, with the
-        factors they multiply: per time point one cos and sin of tw, or
-        the classical c_w, s_w = (x_w +- y_w)/2 from two exps per w,
-        x_w = e^{t(w - d)} and y_w = e^{-t(w + d)}, which for a 0/1
+        """The rows of A and B rounded to floats once, [] for an all-zero
+        row, with the factors they multiply: per time point one cos and sin
+        of tw, or the classical c_w, s_w = (x_w +- y_w)/2 from two exps per
+        w, x_w = e^{t(w - d)} and y_w = e^{-t(w + d)}, which for a 0/1
         generator (|E| <= d) never overflow.  B[0] multiplies sin(0) = 0
-        and is left out.  Where only one of +w, -w is an eigenvalue, the
+        and is set to 0.  Where only one of +w, -w is an eigenvalue, the
         classical walk takes x_w = y_w = e^{t(E - d)}, so c_w is that one
         exponential and s_w = 0: those w come last, and the classical odd
         sums stop after the ``two_signed`` leading columns.  For an odd
         generator class (transpositions among them) E_nu' = -E_nu and
-        chi_nu' = sgn chi_nu, so K-[w] = +-K+[w] and one of A[w], B[w] is 0
-        on every class: with the zeros skipped, a time point adds about
-        half the nonzero terms of the sum over eigenvalues.  Only the rows
-        and the prefactors depend on mu: the rest is ``spec.float_axis``."""
+        chi_nu' = sgn chi_nu, so K-[w] = sgn(lam) sgn(mu) K+[w]: the B row
+        is 0 where the signs agree and the A row where they differ, and a
+        time point sums one row per class.  Only the rows and the
+        prefactors depend on mu: the rest is ``spec.float_axis``."""
         spec, nfact = self.spec, factorial(self.spec.n)
         size_mu = spec.class_sizes[self.mu]
         return SimpleNamespace(
             **vars(spec.float_axis),
-            even_rows=[_sparse(a) for a in self.even],
-            odd_rows=[_sparse([b if w else 0 for w, b in zip(spec.freqs, r)]) for r in self.odd],
+            even_rows=[_floats(a) for a in self.even],
+            odd_rows=[_floats([b if w else 0 for w, b in zip(spec.freqs, r)]) for r in self.odd],
             prefactors=[math.sqrt(spec.class_sizes[lam] * size_mu / nfact ** 2)
                         for lam in spec.classes],  # int / int rounds as float(Fraction) does
         )
 
     def _sums(self, evens: list[float], odds: list[float]) -> tuple[list, list]:
-        """Per class, sum_w A[w] evens[w] and sum_w B[w] odds[w] over the
-        nonzero A and B; a shorter ``odds`` ends its sums there (last bits
-        by interpreter: see the module notes)."""
+        """Per class, sum_w A[w] evens[w] and sum_w B[w] odds[w], 0.0 for a
+        zero row; a shorter ``odds`` ends its sums there (last bits by
+        interpreter: see the module notes)."""
         f = self._folded
-        return ([sum(map(mul, a, compress(evens, at))) if a else 0.0 for a, at in f.even_rows],
-                [sum(map(mul, b, compress(odds, bt))) if b else 0.0 for b, bt in f.odd_rows])
+        return ([sum(map(mul, a, evens)) if a else 0.0 for a in f.even_rows],
+                [sum(map(mul, b, odds)) if b else 0.0 for b in f.odd_rows])
 
     def _real_imag(self, t: float) -> tuple[list[float], list[float]]:
         """Real and imaginary parts of every class amplitude at time t."""
@@ -317,8 +314,8 @@ class WalkKernel:
 
         def form(rows, sign) -> list[float]:
             pairs = [[(sinc(u - v) + sign * sinc(u + v)) / 2 for v in f.freqs] for u in f.freqs]
-            return [sum(x * sum(map(mul, vals, compress(row, at)))
-                        for x, row in zip(vals, compress(pairs, at))) for vals, at in rows]
+            return [sum(x * sum(map(mul, vals, row)) for x, row in zip(vals, pairs) if x)
+                    for vals in rows]
 
         even, odd = form(f.even_rows, 1), form(f.odd_rows, -1)
         return [max(0.0, p * p * (a + b)) for p, a, b in zip(f.prefactors, even, odd)]

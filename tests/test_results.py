@@ -29,6 +29,8 @@ BLIND = "## Blind to large areas"
 # One cell: the limit's mass far from the identity, the uniform mass
 # there, then the argv whose per-class ``probability`` fields sum to it.
 BLIND_CELL = re.compile(r"^(\d\.\d{4}) of (\d\.\d{4}) " + ARGV + "$")
+# Its second table has the CELL form: the share of the support the limit
+# leaves dark, then the argv whose ``per_element_exact`` fields make it.
 
 
 def _columns(n: int) -> list[tuple[Partition, str]]:
@@ -51,17 +53,32 @@ def _tv(gamma: Partition, support: str) -> tuple[str]:
     return (f"{float(tv_distance(_limit(gamma), support)):.4f}",)
 
 
+def _members(n: int, support: str) -> list[Partition]:
+    """The classes of S_n that make up the support."""
+    return [lam for lam in enumerate_partitions(n)
+            if support == "symmetric_group" or is_even_class(lam)]
+
+
 def _far_mass(gamma: Partition, support: str) -> tuple[str, str]:
     """The limit's mass at transposition distance n - l(lam) >= n // 2, and
     the mass the uniform distribution on the support puts there."""
     n = gamma.n
     far = {lam for lam in enumerate_partitions(n) if n - len(lam.parts) >= n // 2}
-    members = [lam for lam in enumerate_partitions(n)
-               if support == "symmetric_group" or is_even_class(lam)]
+    members = _members(n, support)
     uniform = Fraction(sum(class_size(lam) for lam in members if lam in far),
                        sum(map(class_size, members)))
     mass = sum(p for lam, p in _limit(gamma).items() if lam in far)
     return f"{float(mass):.4f}", f"{float(uniform):.4f}"
+
+
+def _dark_share(gamma: Partition, support: str) -> tuple[str]:
+    """The share of the support's elements whose per-element limit is
+    below a tenth of the uniform share 1/|support|."""
+    members = _members(gamma.n, support)
+    size, limit = sum(map(class_size, members)), _limit(gamma)
+    dark = sum(class_size(lam) for lam in members
+               if limit[lam] / class_size(lam) < Fraction(1, 10 * size))
+    return (f"{float(Fraction(dark, size)):.4f}",)
 
 
 def limit_rows(values, joiner: str) -> list[str]:
@@ -76,16 +93,19 @@ def limit_rows(values, joiner: str) -> list[str]:
     return rows
 
 
-def _table(text: str, heading: str) -> list[list[str]]:
-    """The cells of the first table under ``heading``, header rows left out."""
+def _table(text: str, heading: str, which: int = 0) -> list[list[str]]:
+    """The cells of table ``which`` (from 0) under ``heading``, header rows
+    left out."""
     section = text[text.index(heading + "\n"):].split("\n## ", 1)[0]
-    lines = [line for line in section.splitlines() if line.startswith("|")]
+    tables = re.findall(r"(?m)(?:^\|.*\n?)+", section)
+    lines = tables[which].splitlines() if which < len(tables) else []
     return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
 
 
-def limit_mismatches(text: str, heading: str, cell, values) -> list[str]:
-    """Every printed cell of a limit section that the library does not reproduce."""
-    table = _table(text, heading)
+def limit_mismatches(text: str, heading: str, cell, values, which: int = 0) -> list[str]:
+    """Every printed cell of a limit section's table ``which`` that the
+    library does not reproduce."""
+    table = _table(text, heading, which)
     bad = [] if [row[0] for row in table] == [str(n) for n in LIMIT_NS] else ["row labels"]
     for row in table:
         n = int(row[0])
@@ -106,6 +126,10 @@ def nonuniform_mismatches(text: str) -> list[str]:
 
 def blind_mismatches(text: str) -> list[str]:
     return limit_mismatches(text, BLIND, BLIND_CELL, _far_mass)
+
+
+def dark_mismatches(text: str) -> list[str]:
+    return limit_mismatches(text, BLIND, CELL, _dark_share, which=1)
 
 
 NCYCLE = "## The paper's n-cycle table"
@@ -174,6 +198,18 @@ def test_one_changed_digit_fails_the_blind_check():
         "0.0002 of 0.9983 `symwalk limit --n 14 --generator 14`"]
 
 
+def test_every_dark_share_row_recomputes():
+    assert dark_mismatches(RESULTS.read_text()) == []
+
+
+def test_one_changed_digit_fails_the_dark_share_check():
+    text = RESULTS.read_text()
+    cell = "0.7436 `symwalk limit --n 8 --generator 8`"
+    assert text.count(cell) == 1
+    changed = text.replace(cell, "0.7437 `symwalk limit --n 8 --generator 8`")
+    assert dark_mismatches(changed) == ["0.7437 `symwalk limit --n 8 --generator 8`"]
+
+
 def test_every_ncycle_row_recomputes():
     assert ncycle_mismatches(RESULTS.read_text()) == []
 
@@ -204,5 +240,7 @@ if __name__ == "__main__":
     print("\n".join(limit_rows(_tv, "")))
     print()
     print("\n".join(limit_rows(_far_mass, " of ")))
+    print()
+    print("\n".join(limit_rows(_dark_share, "")))
     print()
     print("\n".join("| " + " | ".join(cells) + " |" for cells in ncycle_cells()))

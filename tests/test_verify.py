@@ -147,7 +147,7 @@ def test_suite_refuses_n_without_a_walk(n):
 def test_suite_refuses_to_sample_no_times(monkeypatch, t_samples):
     # With no times the quantum check would compare nothing and pass.  No
     # sample count can be asked for: every graph is compared at the
-    # QUANTUM_SAMPLES distinct times of one period.
+    # QUANTUM_SAMPLES distinct times of its first half period.
     with pytest.raises(TypeError, match="t_samples"):
         verify.run_suite(3, t_samples=t_samples)
     sampled = []
@@ -161,6 +161,29 @@ def test_suite_refuses_to_sample_no_times(monkeypatch, t_samples):
     verify.run_suite(3)
     assert len(sampled) == len(verify.generator_classes(3))
     assert all(len(set(times)) == verify.QUANTUM_SAMPLES == 16 for times in sampled)
+
+
+def test_quantum_check_samples_sixteen_distinct_distributions(monkeypatch):
+    # P(t) = P(2*pi/g - t) for a real start, and the walk repeats after
+    # 2*pi/g, so times spread over [0, 2*pi] can see one distribution many
+    # times: 3 of 16 for (6) and 3,2,1 at n = 6, whose g is 12.  The
+    # midpoints of [0, pi/g] give 16 that no oracle tolerance merges.
+    sampled = {}
+    original = verify.check_quantum_vs_oracle
+
+    def recorded(walk, spec, times):
+        sampled[walk.generator] = (spec, list(times))
+        return original(walk, spec, times)
+
+    monkeypatch.setattr(verify, "check_quantum_vs_oracle", recorded)
+    verify.run_suite(6)
+    assert list(sampled) == verify.generator_classes(6)
+    ident = identity_partition(6)
+    for gamma, (spec, times) in sampled.items():
+        dists = [list(class_distribution(spec, ident, t).values()) for t in times]
+        gaps = [max(abs(p - q) for p, q in zip(dists[i], dists[j]))
+                for i in range(len(dists)) for j in range(i)]
+        assert len(dists) == 16 and min(gaps) > verify.ORACLE_TOL, gamma
 
 
 def _double_dimension(monkeypatch, parts):

@@ -408,16 +408,24 @@ def test_n14_sweeps_match_the_numpy_reference(cycle):
 
 
 def test_folding_halves_the_transposition_terms():
-    # E_nu' = -E_nu and chi_nu' = sgn chi_nu, so on every class one of A[w]
-    # and B[w] vanishes: the folded rows hold about half the nonzero
-    # entries of K (the E = 0 group counts in both).
+    # E_nu' = -E_nu and chi_nu' = sgn chi_nu, so K-[w] = sgn(lam) sgn(mu) K+[w]:
+    # B = K+ - K- vanishes on a class whose sign agrees with mu's and A =
+    # K+ + K- on one whose sign differs (B[0], which multiplies sin 0, is set
+    # to 0).  So exactly one float row per class is nonempty, the A row when
+    # the signs agree, and a time point sums one row per class, not two.
     n = 14
     kernel = spectrum(transpositions(n)).kernel(identity_partition(n))
-    folded = kernel._folded
-    terms = sum(len(a) + len(b) for (a, _), (b, _) in zip(folded.even_rows, folded.odd_rows))
     _, matrix = kernel_matrix(kernel.spec, kernel.mu)
     assert sum(1 for row in matrix for k in row if k) == 7702
-    assert terms == 3873
+    walks = [(spec, mu) for m in range(2, 9) for spec in [spectrum(transpositions(m))]
+             for mu in spec.classes]
+    for spec, mu in [*walks, (kernel.spec, kernel.mu)]:
+        folded = spec.kernel(mu)._folded
+        for lam, a, b in zip(spec.classes, folded.even_rows, folded.odd_rows):
+            agree = is_even_class(lam) == is_even_class(mu)
+            assert (bool(a), bool(b)) == (agree, not agree), (mu, lam)
+    rows = kernel._folded
+    assert (sum(map(bool, rows.even_rows)), sum(map(bool, rows.odd_rows))) == (69, 66)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
